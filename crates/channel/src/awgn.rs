@@ -6,8 +6,8 @@
 //! `ε = Q(swing / 2σ_N)` — eq. (5).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use socbus_codes::WordBlock;
+use rand::{Rng, RngCore, SeedableRng};
+use socbus_codes::{WordBlock, BLOCK_WORDS};
 use socbus_model::{bit_error_probability, Word};
 
 /// A noisy bus channel.
@@ -65,13 +65,106 @@ impl GaussianChannel {
     }
 }
 
+/// `2^53`: the resolution of `rng.gen::<f64>()`, whose value is a
+/// uniform 53-bit integer `U` scaled by `2^-53`.
+const UNIT: u64 = 1 << 53;
+
+/// Exact bit-sliced Bernoulli(ε) sampler: one call draws a 64-lane flip
+/// plane, lane `j` set with probability `ceil(ε·2^53)/2^53`,
+/// independently per lane — exactly the marginal of the scalar test
+/// `rng.gen::<f64>() < ε`.
+///
+/// The scalar test compares a uniform 53-bit integer `U` against the
+/// threshold `T = ceil(ε·2^53)`. The sampler runs that comparison for 64
+/// lanes at once, most significant bit first: each `next_u64` supplies
+/// bit `b` of all 64 lanes' `U`. A lane whose bit is below `T`'s bit is
+/// decided "flip", above it "keep", equal stays open. Drawing stops as
+/// soon as no lane is open, or after `T`'s lowest set bit (every lane
+/// still tied there has `U ≥ T`). Each lane is open after a bit with
+/// probability 1/2, so a plane costs about `log2(64) + 1.3 ≈ 7.3` draws
+/// at any ε, one at ε = 1/2 and none at ε ∈ {0, 1}.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FlipSampler {
+    threshold: u64,
+}
+
+impl FlipSampler {
+    /// The sampler for flip probability `eps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 <= eps <= 1`.
+    #[must_use]
+    pub fn new(eps: f64) -> Self {
+        assert!((0.0..=1.0).contains(&eps), "eps out of range");
+        // ε·2^53 is exact (a power-of-two scale), and so is its ceiling.
+        FlipSampler {
+            threshold: (eps * UNIT as f64).ceil() as u64,
+        }
+    }
+
+    /// The threshold `T = ceil(ε·2^53)`: a lane flips with probability
+    /// `T / 2^53`.
+    #[must_use]
+    pub fn threshold(&self) -> u64 {
+        self.threshold
+    }
+
+    /// One 64-lane flip plane.
+    pub fn plane<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
+        let t = self.threshold;
+        if t == 0 {
+            return 0;
+        }
+        if t == UNIT {
+            return u64::MAX;
+        }
+        let mut flip = 0u64;
+        let mut open = u64::MAX;
+        // `T`'s bits still to compare, the next one at the top; once only
+        // zeros remain, every open lane has `U ≥ T`.
+        let mut rest = t << 11;
+        loop {
+            let r = rng.next_u64();
+            // All ones where `T` has a 1 at this bit (branch-free: the
+            // bit pattern of `T` is data the predictor cannot learn).
+            let t_bit = ((rest as i64) >> 63) as u64;
+            flip |= open & !r & t_bit;
+            open &= !(r ^ t_bit);
+            rest <<= 1;
+            if open == 0 || rest == 0 {
+                return flip;
+            }
+        }
+    }
+
+    /// Fills `planes` with one flip plane per wire, wire-ascending.
+    pub fn fill<R: RngCore + ?Sized>(&self, rng: &mut R, planes: &mut [u64]) {
+        for p in planes {
+            *p = self.plane(rng);
+        }
+    }
+}
+
 /// A simpler abstraction for validation: flips each wire independently
 /// with probability ε (the regime the analytic formulas assume).
+///
+/// The channel is a stream of 64-lane flip-plane sets drawn by a
+/// [`FlipSampler`]: one plane per wire, lane `j` of the set belonging
+/// to the `j`-th word. [`BitFlipChannel::transmit`] hands out one lane
+/// per call and [`BitFlipChannel::corrupt_block`] one lane per block
+/// word, refilling from the same RNG whenever the set runs out — so the
+/// scalar and batch paths see the identical flips for the same words in
+/// the same order. A call at a different width than the buffered set
+/// discards the set's remaining lanes and draws a fresh one.
 #[derive(Clone, Debug)]
 pub struct BitFlipChannel {
-    /// Per-wire flip probability.
+    /// Per-wire flip probability, read when a plane set is drawn: a
+    /// change takes effect at the next set.
     pub eps: f64,
     rng: StdRng,
+    planes: Vec<u64>,
+    next_lane: usize,
 }
 
 impl BitFlipChannel {
@@ -86,33 +179,50 @@ impl BitFlipChannel {
         BitFlipChannel {
             eps,
             rng: StdRng::seed_from_u64(seed),
+            planes: Vec::new(),
+            next_lane: BLOCK_WORDS,
         }
     }
 
-    /// Transmits a word through the flip channel.
+    /// Makes at least one unused lane available for a word of `width`
+    /// wires, drawing a fresh plane set when needed.
+    fn ensure_lane(&mut self, width: usize) {
+        if self.next_lane == BLOCK_WORDS || self.planes.len() != width {
+            self.planes.resize(width, 0);
+            FlipSampler::new(self.eps).fill(&mut self.rng, &mut self.planes);
+            self.next_lane = 0;
+        }
+    }
+
+    /// Transmits a word through the flip channel, consuming one lane of
+    /// the buffered plane set.
     #[must_use]
     pub fn transmit(&mut self, word: Word) -> Word {
-        let mut out = word;
-        for i in 0..word.width() {
-            if self.rng.gen::<f64>() < self.eps {
-                out.set_bit(i, !out.bit(i));
-            }
+        self.ensure_lane(word.width());
+        let mut limbs = [0u64; Word::LIMB_COUNT];
+        for (i, plane) in self.planes.iter().enumerate() {
+            limbs[i / 64] |= ((plane >> self.next_lane) & 1) << (i % 64);
         }
-        out
+        self.next_lane += 1;
+        word.xor(Word::from_limbs(limbs, word.width()))
     }
 
-    /// Transmits a whole [`WordBlock`] in place, drawing the flip
-    /// variates **word by word, wire-ascending within each word** — the
-    /// exact RNG stream [`BitFlipChannel::transmit`] consumes for the
-    /// same words in the same order. This is what keeps the batch
-    /// Monte-Carlo path byte-identical to the scalar one.
+    /// Transmits a whole [`WordBlock`] in place: word `j` takes the next
+    /// lane of the plane stream, exactly the lane
+    /// [`BitFlipChannel::transmit`] would hand out for it. Lanes at or
+    /// above `block.len()` stay clear.
     pub fn corrupt_block(&mut self, block: &mut WordBlock) {
-        for j in 0..block.len() {
-            for i in 0..block.width() {
-                if self.rng.gen::<f64>() < self.eps {
-                    block.flip_bit(i, j);
-                }
+        let (n, width) = (block.len(), block.width());
+        let mut done = 0;
+        while done < n {
+            self.ensure_lane(width);
+            let take = (n - done).min(BLOCK_WORDS - self.next_lane);
+            let mask = u64::MAX >> (BLOCK_WORDS - take);
+            for (i, plane) in self.planes.iter().enumerate() {
+                *block.lane_mut(i) ^= ((plane >> self.next_lane) & mask) << done;
             }
+            self.next_lane += take;
+            done += take;
         }
     }
 }

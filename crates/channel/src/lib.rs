@@ -5,7 +5,8 @@
 //! error-control coding converts redundancy into either reliability or —
 //! via low-swing signaling — energy savings (eq. (11)).
 //!
-//! * [`awgn`] — Gaussian and i.i.d. bit-flip channel models;
+//! * [`awgn`] — Gaussian and i.i.d. bit-flip channel models, and the
+//!   exact bit-sliced flip sampler behind every i.i.d. flip draw;
 //! * [`fault`] — composable seeded fault injection beyond the i.i.d.
 //!   assumption: Gilbert–Elliott bursts, stuck-at and bridged wires, and
 //!   transient voltage droop;
@@ -35,7 +36,7 @@ pub mod montecarlo;
 pub mod rare;
 pub mod scaling;
 
-pub use awgn::{BitFlipChannel, GaussianChannel};
+pub use awgn::{BitFlipChannel, FlipSampler, GaussianChannel};
 pub use fault::{
     rescale_eps, BridgeFault, BridgeMode, DroopFault, FaultInjector, FaultModel, FaultSpec,
     GilbertElliott, IidFault, StuckAtFault,

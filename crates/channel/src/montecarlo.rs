@@ -274,6 +274,15 @@ pub fn mc_shards(trials: u64, root_seed: u64) -> Vec<(u64, u64)> {
     shards
 }
 
+/// The block lengths a `trials`-long run is cut into: full
+/// [`BLOCK_WORDS`] blocks, then the remainder.
+pub(crate) fn block_lens(trials: u64) -> impl Iterator<Item = usize> {
+    let rem = (trials % BLOCK_WORDS as u64) as usize;
+    (0..trials / BLOCK_WORDS as u64)
+        .map(|_| BLOCK_WORDS)
+        .chain((rem > 0).then_some(rem))
+}
+
 /// Measures the residual word-error rate of `scheme` at width `k` under
 /// i.i.d. per-wire flip probability `eps`, over `trials` random words.
 ///
@@ -342,10 +351,9 @@ pub fn word_error_rate_traced(
         String::new()
     };
     let mut words: Vec<Word> = Vec::with_capacity(BLOCK_WORDS);
-    while done < trials {
-        let n = usize::try_from((trials - done).min(BLOCK_WORDS as u64)).expect("n <= 64");
+    for n in block_lens(trials) {
         // Data draws first (one `u128` per trial, in trial order), then
-        // the channel draws (per word, wire-ascending): each stream is
+        // the channel's flip planes (one lane per trial): each stream is
         // its own RNG, so batching keeps both streams in scalar order.
         words.clear();
         words.extend((0..n).map(|_| Word::from_bits(rng.gen::<u128>(), k)));

@@ -152,15 +152,18 @@ pub(crate) const FLIP_SEED_SALT: u64 = 0x5EED;
 /// The per-trial codec stream shared by the IS and splitting estimators:
 /// persistent encoder/decoder pair (endpoint state advances across
 /// trials, exactly like [`crate::montecarlo::word_error_rate`]) plus the
-/// uniform data-word stream. Runs on the bit-sliced batch codecs; a
-/// single-pattern call is the one-word block special case, so per-trial
-/// and per-block callers stay on one byte-identical code path.
+/// uniform data-word stream. Runs on the bit-sliced batch codecs and
+/// takes its noise as flip planes (one per wire, lane `j` for trial `j`,
+/// as [`crate::FlipSampler`] draws them); a single-pattern call is the
+/// one-lane block special case, so per-trial and per-block callers stay
+/// on one byte-identical code path.
 pub(crate) struct TrialStream {
     enc: Box<dyn BatchCode>,
     dec: Box<dyn BatchCode>,
     data_rng: StdRng,
     k: usize,
     wires: usize,
+    words: Vec<Word>,
 }
 
 impl TrialStream {
@@ -176,6 +179,7 @@ impl TrialStream {
             data_rng: StdRng::seed_from_u64(seed),
             k,
             wires,
+            words: Vec::with_capacity(BLOCK_WORDS),
         }
     }
 
@@ -184,43 +188,40 @@ impl TrialStream {
         self.wires
     }
 
-    /// Runs one block of transfers: draws the next `patterns.len()` data
-    /// words (one `u128` per trial, in trial order), encodes the block,
-    /// XORs error pattern `j` onto codeword `j`, decodes, and returns the
-    /// failure mask (bit `j` set when decoded word `j` differs from the
-    /// sent data). Advances both codec states across the whole block —
-    /// identical draw counts and codec-state trajectory to running the
-    /// trials one at a time.
-    pub(crate) fn fails_with_patterns(&mut self, patterns: &[u128]) -> u64 {
-        let n = patterns.len();
-        debug_assert!(n <= BLOCK_WORDS, "pattern block too large");
+    /// Runs one block of `n` transfers: draws the next `n` data words
+    /// (one `u128` per trial, in trial order), encodes the block, XORs
+    /// lanes `0..n` of the flip planes (`planes[i]` for wire `i`) onto the
+    /// codewords, decodes, and returns the failure mask (bit `j` set when
+    /// decoded word `j` differs from the sent data). Advances both codec
+    /// states across the whole block — identical draw counts and
+    /// codec-state trajectory to running the trials one at a time.
+    pub(crate) fn fails_with_planes(&mut self, planes: &[u64], n: usize) -> u64 {
+        debug_assert!(n <= BLOCK_WORDS, "plane block too large");
+        debug_assert_eq!(planes.len(), self.wires, "one plane per wire");
         if n == 0 {
             return 0;
         }
-        let words: Vec<Word> = (0..n)
-            .map(|_| Word::from_bits(self.data_rng.gen::<u128>(), self.k))
-            .collect();
-        let data = WordBlock::from_words(&words);
+        let (rng, k) = (&mut self.data_rng, self.k);
+        self.words.clear();
+        self.words
+            .extend((0..n).map(|_| Word::from_bits(rng.gen::<u128>(), k)));
+        let data = WordBlock::from_words(&self.words);
         let mut received = self.enc.encode(&data);
-        let wire_mask = if self.wires >= 128 {
-            u128::MAX
-        } else {
-            (1u128 << self.wires) - 1
-        };
-        for (j, &p) in patterns.iter().enumerate() {
-            let mut rem = p & wire_mask;
-            while rem != 0 {
-                received.flip_bit(rem.trailing_zeros() as usize, j);
-                rem &= rem - 1;
-            }
+        let valid = received.valid_mask();
+        for (i, &p) in planes.iter().enumerate() {
+            *received.lane_mut(i) ^= p & valid;
         }
         let out = self.dec.decode(&received);
         (0..self.k).fold(0u64, |acc, i| acc | (out.lane(i) ^ data.lane(i)))
     }
 
-    /// One transfer: [`TrialStream::fails_with_patterns`] on a one-word
-    /// block.
+    /// One transfer with error pattern `pattern` (bit `i` flips wire `i`;
+    /// wires at or above 128 never flip): the one-lane case of
+    /// [`TrialStream::fails_with_planes`].
     pub(crate) fn fails_with_pattern(&mut self, pattern: u128) -> bool {
-        self.fails_with_patterns(&[pattern]) == 1
+        let planes: Vec<u64> = (0..self.wires)
+            .map(|i| u64::from(i < 128 && pattern >> i & 1 == 1))
+            .collect();
+        self.fails_with_planes(&planes, 1) == 1
     }
 }

@@ -31,9 +31,11 @@
 //! [`crate::montecarlo::word_error_rate`]).
 
 use super::{RareChannel, TrialStream, FLIP_SEED_SALT};
+use crate::awgn::FlipSampler;
+use crate::montecarlo::block_lens;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use socbus_codes::Scheme;
+use socbus_codes::{Scheme, BLOCK_WORDS};
 use socbus_exec::{run_shards, shard_seed};
 use socbus_telemetry::Telemetry;
 
@@ -199,18 +201,21 @@ fn weight(pattern: u128) -> usize {
     pattern.count_ones() as usize
 }
 
-/// Draws a fresh i.i.d. error pattern at rate `eps` — the identical
-/// per-wire draw shape as [`crate::BitFlipChannel::transmit`], which is
-/// what makes the level-free schedule reproduce plain Monte-Carlo byte
-/// for byte.
-fn draw_pattern(rng: &mut StdRng, wires: usize, eps: f64) -> u128 {
-    let mut pattern = 0u128;
-    for i in 0..wires {
-        if rng.gen::<f64>() < eps {
-            pattern |= 1u128 << i;
+/// Draws the next 64 fresh i.i.d. error patterns at rate `eps` (wires
+/// at or above 128 never flip) — one [`FlipSampler`] plane set, the
+/// same planes [`crate::BitFlipChannel`] draws for a block, transposed to
+/// one pattern per lane.
+fn draw_patterns(rng: &mut StdRng, planes: &mut [u64], eps: f64) -> [u128; BLOCK_WORDS] {
+    FlipSampler::new(eps).fill(rng, planes);
+    let mut patterns = [0u128; BLOCK_WORDS];
+    for (i, &p) in planes.iter().enumerate().take(128) {
+        let mut rem = p;
+        while rem != 0 {
+            patterns[rem.trailing_zeros() as usize] |= 1u128 << i;
+            rem &= rem - 1;
         }
     }
-    pattern
+    patterns
 }
 
 /// One sweep of the Metropolis kernel preserving `p(·|W ≥ floor)`:
@@ -248,15 +253,15 @@ fn split_replica(
     let mut flip_rng = StdRng::seed_from_u64(seed ^ FLIP_SEED_SALT);
     let wires = stream.wires();
     let effort = config.effort;
+    let mut planes = vec![0u64; wires];
     if config.levels.is_empty() {
-        // Degenerate schedule: plain Monte-Carlo, interleaved per trial
-        // exactly like `word_error_rate` (pattern draw then decode).
+        // Degenerate schedule: plain Monte-Carlo in blocks, exactly like
+        // `word_error_rate` (one plane set per block, then decode).
+        let sampler = FlipSampler::new(eps);
         let mut failures = 0u64;
-        for _ in 0..effort {
-            let pattern = draw_pattern(&mut flip_rng, wires, eps);
-            if stream.fails_with_pattern(pattern) {
-                failures += 1;
-            }
+        for n in block_lens(effort) {
+            sampler.fill(&mut flip_rng, &mut planes);
+            failures += u64::from(stream.fails_with_planes(&planes, n).count_ones());
         }
         return (failures as f64 / effort as f64, failures);
     }
@@ -265,12 +270,10 @@ fn split_replica(
     for (stage, &level) in config.levels.iter().enumerate() {
         let mut hits: Vec<u128> = Vec::new();
         if stage == 0 {
-            // Entry stage: fresh unconditional draws.
-            for _ in 0..effort {
-                let pattern = draw_pattern(&mut flip_rng, wires, eps);
-                if weight(pattern) >= level {
-                    hits.push(pattern);
-                }
+            // Entry stage: fresh unconditional draws, a block at a time.
+            for n in block_lens(effort) {
+                let patterns = draw_patterns(&mut flip_rng, &mut planes, eps);
+                hits.extend(patterns[..n].iter().filter(|&&p| weight(p) >= level));
             }
         } else {
             let floor = config.levels[stage - 1];

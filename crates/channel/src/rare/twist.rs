@@ -23,16 +23,19 @@
 //! path-weight degeneration of chain-level twisting (a product of
 //! per-step ratios over millions of steps has unbounded variance).
 //!
+//! Flips are drawn as 64-lane planes by [`crate::FlipSampler`], one
+//! block of trials at a time, and a trial's weight depends only on its
+//! flipped-wire count, so each state's weights are one precomputed table.
 //! Zero twist (`Twist::NONE`) is special-cased to use `ε` *exactly* —
-//! same flip-RNG stream, draw count, and threshold as
-//! [`crate::BitFlipChannel`] — so it reproduces
-//! [`crate::montecarlo::word_error_rate`] byte for byte; the regression
-//! suite pins that down.
+//! same flip-RNG stream and planes as [`crate::BitFlipChannel`] — so it
+//! reproduces [`crate::montecarlo::word_error_rate`] byte for byte; the
+//! regression suite pins that down.
 
 use super::{RareChannel, TrialStream, FLIP_SEED_SALT};
-use crate::montecarlo::{mc_shards, WeightedTally, MC_PROGRESS_CHUNK};
+use crate::awgn::FlipSampler;
+use crate::montecarlo::{block_lens, mc_shards, WeightedTally, MC_PROGRESS_CHUNK};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use socbus_codes::{Scheme, BLOCK_WORDS};
 use socbus_exec::run_shards;
 use socbus_telemetry::Telemetry;
@@ -92,6 +95,50 @@ fn boosted_occupancy(q: f64, boost: f64) -> f64 {
     tilted / (tilted + (1.0 - q))
 }
 
+/// The flip sampler of one channel state under the twist, with the
+/// likelihood-ratio weight of a word by its flipped-wire count `f`:
+/// `weights[f] = state_w · (ε/ε_θ)^f · ((1−ε)/(1−ε_θ))^(wires−f)`, every
+/// entry exactly `state_w` at zero twist (or degenerate ε ∈ {0, 1},
+/// avoiding the 0/0 shape at ε = 0).
+struct StateDraw {
+    flips: FlipSampler,
+    weights: Vec<f64>,
+}
+
+impl StateDraw {
+    fn new(eps: f64, theta: f64, state_w: f64, wires: usize) -> StateDraw {
+        let eps_t = twisted_eps(eps, theta);
+        let (flip_w, keep_w) = if eps_t == eps {
+            (1.0, 1.0)
+        } else {
+            (eps / eps_t, (1.0 - eps) / (1.0 - eps_t))
+        };
+        let weights = (0..=wires)
+            .map(|f| {
+                let flips = (0..f).fold(state_w, |w, _| w * flip_w);
+                (f..wires).fold(flips, |w, _| w * keep_w)
+            })
+            .collect();
+        StateDraw {
+            flips: FlipSampler::new(eps_t),
+            weights,
+        }
+    }
+}
+
+/// Flipped-wire count of each of the 64 lanes of a plane set.
+fn lane_flip_counts(planes: &[u64]) -> [usize; BLOCK_WORDS] {
+    let mut counts = [0; BLOCK_WORDS];
+    for &p in planes {
+        let mut rem = p;
+        while rem != 0 {
+            counts[rem.trailing_zeros() as usize] += 1;
+            rem &= rem - 1;
+        }
+    }
+    counts
+}
+
 /// One single-threaded shard of the IS estimator: `trials` words of
 /// `scheme` at width `k` through `channel` sampled under `twist`, with
 /// the burst occupancy `occupancy` fixed by the caller (the *whole-run*
@@ -117,21 +164,10 @@ fn is_shard(
     } else {
         String::new()
     };
-    // Per-state twisted parameters are trial-invariant: precompute the
-    // (ε, ε_θ, flip-ratio, keep-ratio) tuple per reachable state.
-    let params = |eps: f64| -> (f64, f64, f64) {
-        let eps_t = twisted_eps(eps, twist.theta);
-        if eps_t == eps {
-            // Exact zero-twist (or degenerate ε ∈ {0, 1}): unit weights,
-            // avoiding the 0/0 shape at ε = 0.
-            (eps_t, 1.0, 1.0)
-        } else {
-            (eps_t, eps / eps_t, (1.0 - eps) / (1.0 - eps_t))
-        }
-    };
-    let iid = params(channel.base_eps());
-    let burst = match channel {
-        RareChannel::Iid { .. } => None,
+    // Per-state samplers and weight tables are trial-invariant; a burst
+    // channel adds the occupancy sampler and the bad state.
+    let (burst, w_good) = match channel {
+        RareChannel::Iid { .. } => (None, 1.0),
         RareChannel::Burst { eps_bad, .. } => {
             let q = occupancy;
             let qb = boosted_occupancy(q, twist.burst_boost);
@@ -141,52 +177,46 @@ fn is_shard(
             } else {
                 (q / qb, (1.0 - q) / (1.0 - qb))
             };
-            Some((params(eps_bad), qb, w_bad, w_good))
+            let bad = StateDraw::new(eps_bad, twist.theta, w_bad, wires);
+            (Some((FlipSampler::new(qb), bad)), w_good)
         }
     };
-    // Trials run in BLOCK_WORDS-sized batches: all of a block's noise
-    // draws happen first (the flip RNG is a separate stream from the data
-    // RNG, so its per-stream order is unchanged), then one batch
-    // encode/decode, then the tally records per trial in original order —
-    // the float sums and telemetry stay byte-identical to the per-trial
-    // loop.
-    let mut patterns: Vec<u128> = Vec::with_capacity(BLOCK_WORDS);
-    let mut weights: Vec<f64> = Vec::with_capacity(BLOCK_WORDS);
+    let good = StateDraw::new(channel.base_eps(), twist.theta, w_good, wires);
+    // Trials run in BLOCK_WORDS-sized batches: the block's flip planes
+    // are drawn first (the flip RNG is a separate stream from the data
+    // RNG, so neither stream's order depends on the batching), then one
+    // batch encode/decode, then the tally records per trial in original
+    // order. Zero twist on an i.i.d. channel draws exactly the planes
+    // `BitFlipChannel::corrupt_block` draws for `word_error_rate`.
+    let mut planes = vec![0u64; wires];
+    let mut bad_planes = vec![0u64; wires];
     let mut done = 0u64;
-    while done < trials {
-        let n = usize::try_from((trials - done).min(BLOCK_WORDS as u64)).expect("n <= 64");
-        patterns.clear();
-        weights.clear();
-        for _ in 0..n {
-            let ((eps_t, flip_w, keep_w), state_w) = match burst {
-                None => (iid, 1.0),
-                Some((bad, qb, w_bad, w_good)) => {
-                    // One occupancy draw per word, mirroring the one
-                    // transition draw per word of `GilbertElliott::corrupt`.
-                    if flip_rng.gen::<f64>() < qb {
-                        (bad, w_bad)
-                    } else {
-                        (iid, w_good)
-                    }
+    for n in block_lens(trials) {
+        // Lanes in the burst state: one occupancy plane per block, then
+        // the bad-state planes, then the good-state ones.
+        let state = match &burst {
+            None => 0,
+            Some((occupied, bad)) => {
+                let state = occupied.plane(&mut flip_rng);
+                if state != 0 {
+                    bad.flips.fill(&mut flip_rng, &mut bad_planes);
                 }
-            };
-            let mut w = state_w;
-            let mut pattern = 0u128;
-            for i in 0..wires {
-                // Same draw shape as `BitFlipChannel::transmit`, so the
-                // zero-twist pattern stream is the plain channel's.
-                if flip_rng.gen::<f64>() < eps_t {
-                    pattern |= 1u128 << i;
-                    w *= flip_w;
-                } else {
-                    w *= keep_w;
-                }
+                state
             }
-            patterns.push(pattern);
-            weights.push(w);
+        };
+        if state != u64::MAX {
+            good.flips.fill(&mut flip_rng, &mut planes);
         }
-        let fail_mask = stream.fails_with_patterns(&patterns);
-        for (j, &w) in weights.iter().enumerate() {
+        for (p, &b) in planes.iter_mut().zip(&bad_planes) {
+            *p = (state & b) | (!state & *p);
+        }
+        let counts = lane_flip_counts(&planes);
+        let fail_mask = stream.fails_with_planes(&planes, n);
+        for (j, &f) in counts.iter().enumerate().take(n) {
+            let w = match &burst {
+                Some((_, bad)) if state >> j & 1 == 1 => bad.weights[f],
+                _ => good.weights[f],
+            };
             tally.record(w, fail_mask >> j & 1 == 1);
             done += 1;
             if tel.is_enabled() && (done.is_multiple_of(MC_PROGRESS_CHUNK) || done == trials) {

@@ -77,7 +77,8 @@ impl WordBlock {
     }
 
     /// Transposes a slice of equal-width words into a block (word `j` of
-    /// the slice becomes bit `j` of every lane).
+    /// the slice becomes bit `j` of every lane): one 64×64
+    /// [`transpose64`] per 64-wire limb.
     ///
     /// # Panics
     ///
@@ -85,12 +86,18 @@ impl WordBlock {
     #[must_use]
     pub fn from_words(words: &[Word]) -> Self {
         let width = words.first().map_or(0, |w| w.width());
+        assert!(
+            words.iter().all(|w| w.width() == width),
+            "mixed widths in block"
+        );
         let mut block = WordBlock::zero(width, words.len());
-        for (j, w) in words.iter().enumerate() {
-            assert_eq!(w.width(), width, "mixed widths in block");
-            for (i, lane) in block.lanes.iter_mut().enumerate() {
-                *lane |= ((w.limb(i / 64) >> (i % 64)) & 1) << j;
+        for (l, lanes) in block.lanes.chunks_mut(64).enumerate() {
+            let mut m = [0u64; 64];
+            for (row, w) in m.iter_mut().zip(words) {
+                *row = w.limb(l);
             }
+            transpose64(&mut m, lanes.len().next_power_of_two(), false);
+            lanes.copy_from_slice(&m[..lanes.len()]);
         }
         block
     }
@@ -142,10 +149,18 @@ impl WordBlock {
         Word::from_limbs(limbs, self.width())
     }
 
-    /// Untransposes the whole block, word 0 first.
+    /// Untransposes the whole block, word 0 first: one 64×64
+    /// [`transpose64`] per 64-wire limb.
     #[must_use]
     pub fn to_words(&self) -> Vec<Word> {
-        (0..self.len).map(|j| self.word(j)).collect()
+        let mut limbs = [[0u64; 64]; Word::LIMB_COUNT];
+        for (m, lanes) in limbs.iter_mut().zip(self.lanes.chunks(64)) {
+            m[..lanes.len()].copy_from_slice(lanes);
+            transpose64(m, lanes.len().next_power_of_two(), true);
+        }
+        (0..self.len)
+            .map(|j| Word::from_limbs(std::array::from_fn(|l| limbs[l][j]), self.width()))
+            .collect()
     }
 
     /// Raw lane `i` (wire `i` of every word, word `j` at bit `j`).
@@ -181,6 +196,54 @@ impl WordBlock {
             self.len
         );
         self.lanes[wire] ^= 1 << j;
+    }
+}
+
+/// One butterfly stage of [`transpose64`]: swaps the off-diagonal
+/// `J×J` sub-blocks of every `2J×2J` block among the first
+/// `max(2J, h)` rows with one masked shift-XOR per row pair. The rows
+/// past that bound are all zero whenever `transpose64` calls it.
+#[inline(always)]
+fn butterfly<const J: usize>(m: &mut [u64; 64], h: usize) {
+    // The bits whose index has bit `log2 J` clear: 0x5555… for J = 1,
+    // 0x3333… for J = 2, …, 0x0000_0000_FFFF_FFFF for J = 32.
+    let mask = u64::MAX / ((1 << J) + 1);
+    for base in (0..h.max(2 * J)).step_by(2 * J) {
+        for r in base..base + J {
+            let t = ((m[r] >> J) ^ m[r + J]) & mask;
+            m[r + J] ^= t;
+            m[r] ^= t << J;
+        }
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `c` of row `r` moves to
+/// bit `r` of row `c`, in six butterfly stages.
+///
+/// `h` (a power of two, `1..=64`) bounds the nonzero part: with `rows`
+/// false every row's bits at or above `h` are zero, with `rows` true
+/// every row at or above `h` is zero. The stages commute (stage `J`
+/// swaps bit `log2 J` of the row index with the same bit of the column
+/// index), so they run widest-first in the first case and
+/// narrowest-first in the second; either way the nonzero part stays in
+/// the first `max(2J, h)` rows at every stage, and a narrow bus costs a
+/// fraction of a full transpose.
+fn transpose64(m: &mut [u64; 64], h: usize, rows: bool) {
+    debug_assert!(h.is_power_of_two() && h <= 64);
+    if rows {
+        butterfly::<1>(m, h);
+        butterfly::<2>(m, h);
+        butterfly::<4>(m, h);
+        butterfly::<8>(m, h);
+        butterfly::<16>(m, h);
+        butterfly::<32>(m, h);
+    } else {
+        butterfly::<32>(m, h);
+        butterfly::<16>(m, h);
+        butterfly::<8>(m, h);
+        butterfly::<4>(m, h);
+        butterfly::<2>(m, h);
+        butterfly::<1>(m, h);
     }
 }
 
@@ -1296,6 +1359,77 @@ mod tests {
         // from_words is consistent with per-word readback.
         assert_eq!(block.to_words(), words);
         block
+    }
+
+    /// The bit-at-a-time transpose [`WordBlock::from_words`] used before
+    /// the butterfly, kept as its reference. ([`WordBlock::word`] is
+    /// still the per-lane gather and serves as the reference for
+    /// [`WordBlock::to_words`].)
+    fn from_words_reference(words: &[Word]) -> WordBlock {
+        let width = words.first().map_or(0, |w| w.width());
+        let mut block = WordBlock::zero(width, words.len());
+        for (j, w) in words.iter().enumerate() {
+            for (i, lane) in block.lanes.iter_mut().enumerate() {
+                *lane |= ((w.limb(i / 64) >> (i % 64)) & 1) << j;
+            }
+        }
+        block
+    }
+
+    fn random_words(rng: &mut StdRng, width: usize, len: usize) -> Vec<Word> {
+        (0..len)
+            .map(|_| Word::from_limbs([rng.gen(), rng.gen(), rng.gen(), rng.gen()], width))
+            .collect()
+    }
+
+    #[test]
+    fn transpose_matches_bit_loop_reference() {
+        let mut rng = StdRng::seed_from_u64(64);
+        for width in [0usize, 1, 16, 63, 64, 65, 128, 256] {
+            for len in [0usize, 1, 33, 64] {
+                let words = random_words(&mut rng, width, len);
+                let block = WordBlock::from_words(&words);
+                assert_eq!(block, from_words_reference(&words), "{width}x{len}");
+                let back = block.to_words();
+                let gathered: Vec<Word> = (0..len).map(|j| block.word(j)).collect();
+                assert_eq!(back, gathered, "{width}x{len}");
+                assert_eq!(back, words, "{width}x{len}: to_words(from_words(w)) == w");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_keeps_lanes_above_len_clear() {
+        let mut rng = StdRng::seed_from_u64(65);
+        for len in [1usize, 33, 63] {
+            let block = WordBlock::from_words(&random_words(&mut rng, 130, len));
+            for i in 0..block.width() {
+                assert_eq!(
+                    block.lane(i) & !block.valid_mask(),
+                    0,
+                    "lane {i}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn transpose64_moves_every_bit_at_every_narrowing() {
+        let mut rng = StdRng::seed_from_u64(66);
+        for h in [1usize, 2, 4, 8, 16, 32, 64] {
+            let cols = if h == 64 { u64::MAX } else { (1 << h) - 1 };
+            let orig: [u64; 64] = std::array::from_fn(|_| rng.gen::<u64>() & cols);
+            let mut m = orig;
+            transpose64(&mut m, h, false);
+            for (c, &row) in m.iter().enumerate() {
+                for (r, &o) in orig.iter().enumerate() {
+                    assert_eq!(row >> r & 1, o >> c & 1, "h {h}: ({r}, {c})");
+                }
+            }
+            // Back again from the narrow-rows side.
+            transpose64(&mut m, h, true);
+            assert_eq!(m, orig, "h {h}");
+        }
     }
 
     #[test]

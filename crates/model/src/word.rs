@@ -44,6 +44,7 @@ impl Word {
     /// # Panics
     ///
     /// Panics if `width > MAX_WIDTH`.
+    #[inline]
     #[must_use]
     pub fn zero(width: usize) -> Self {
         assert!(width <= MAX_WIDTH, "bus width {width} exceeds {MAX_WIDTH}");
@@ -84,6 +85,7 @@ impl Word {
     }
 
     /// Clears any bits at or above `width`.
+    #[inline]
     fn mask_off(&mut self) {
         let width = self.width as usize;
         for l in 0..LIMBS {
@@ -150,6 +152,7 @@ impl Word {
     /// # Panics
     ///
     /// Panics if `width > MAX_WIDTH`.
+    #[inline]
     #[must_use]
     pub fn from_limbs(limbs: [u64; LIMBS], width: usize) -> Self {
         let mut w = Word::zero(width);
