@@ -15,7 +15,7 @@
 
 use std::time::{Duration, Instant};
 
-use socbus_bench::soak::{render_json, run_campaign_with, FULL_WORDS, SMOKE_WORDS};
+use socbus_chaos::campaign::{render_json, run_campaign_with, FULL_WORDS, SMOKE_WORDS};
 use socbus_telemetry::Telemetry;
 
 fn time_campaign(words: u64, tel: &Telemetry) -> (Duration, String) {

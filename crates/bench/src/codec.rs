@@ -27,7 +27,6 @@
 //! 1 and 8 threads over an odd trial count.
 
 use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -41,6 +40,7 @@ use socbus_codes::{
     ForbiddenTransitionCode, Scheme, WordBlock, BLOCK_WORDS,
 };
 use socbus_model::Word;
+use socbus_telemetry::write_output;
 
 /// Data width of the catalog rows — the soak campaign's width.
 pub const DATA_BITS: usize = 16;
@@ -488,16 +488,6 @@ fn render_rows(json: &mut String, rows: &[Row], tail: impl Fn(&mut String, &Row)
     }
 }
 
-/// Writes `content` to `path`, creating parent directories.
-fn write_out(path: &str, content: &str) {
-    if let Some(dir) = Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(path, content).expect("write results file");
-}
-
 /// Bin entry point: runs the benchmark, asserts the kernel-vs-scan and
 /// batch-vs-scalar speedup gates plus the Monte-Carlo batch/scalar
 /// equivalence, writes both JSON files.
@@ -555,11 +545,15 @@ pub fn main_with_args(args: &[String]) -> i32 {
         "montecarlo batch/scalar equivalence failed: {mc:?}"
     );
 
-    write_out(
+    let written = write_output(
         out,
         &render_json(&rows, builds, gate_passed, batch_gate_passed, &mc),
-    );
-    write_out(timing_out, &render_timing_json(&rows));
+    )
+    .and_then(|()| write_output(timing_out, &render_timing_json(&rows)));
+    if let Err(e) = written {
+        eprintln!("codec: {e}");
+        return 2;
+    }
     eprintln!("codec benchmark written to {out} (timing: {timing_out})");
     0
 }

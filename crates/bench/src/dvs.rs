@@ -41,17 +41,16 @@
 //! `socbus-incident v1` report with one scope per variant run).
 
 use std::fmt::Write as _;
-use std::path::Path;
-use std::rc::Rc;
 
 use socbus_channel::FaultSpec;
-use socbus_chaos::runner::{run_case, run_case_with, CaseConfig, CaseOutcome};
+use socbus_chaos::runner::{run_case_with, CaseConfig, CaseOutcome};
 use socbus_chaos::schedule::{FaultSchedule, ScheduleAction, ScheduleEvent, ScheduleFamily};
 use socbus_codes::Scheme;
-use socbus_exec::{default_threads, parse_threads, run_shards};
+use socbus_exec::{run_shards, RunOpts};
 use socbus_noc::link::Protocol;
 use socbus_noc::{ControlPolicy, OperatingPoint};
-use socbus_telemetry::{HealthAggregator, HealthConfig, HealthReport, Recorder, Telemetry};
+use socbus_telemetry::json::sci;
+use socbus_telemetry::{Observation, Observe};
 
 /// Data bits per transferred word.
 pub const DATA_BITS: usize = 16;
@@ -272,126 +271,34 @@ impl CellRow {
     }
 }
 
-fn run_cell(scheme: Scheme, family: ScheduleFamily, seed: u64, tel: &Telemetry) -> CellRow {
-    let fixed_cfg = cell_case(scheme, family, seed, static_policy(scheme), "static");
-    let closed_cfg = cell_case(scheme, family, seed, closed_policy(scheme), "closed");
-    CellRow {
-        scheme,
-        family,
-        fixed: run_case_with(&fixed_cfg, tel.clone()),
-        closed: run_case_with(&closed_cfg, tel.clone()),
-    }
-}
-
-/// Runs the whole grid on up to `threads` workers; rows come back in
-/// grid order, identically for every thread count.
+/// Runs `cells` on up to `threads` workers under `observe`. Each cell
+/// runs its two variants as named sub-runs (`scheme/family/static` and
+/// `scheme/family/closed`), so under health observation each gets its
+/// own incident-report scope. Rows, the merged recording and the
+/// incident report come back in grid order, then variant order —
+/// identical for every thread count.
 #[must_use]
-pub fn run_bench_parallel(threads: usize) -> Vec<CellRow> {
-    let cells = bench_cells();
-    run_shards(threads, &cells, |_, &(scheme, family, seed)| {
-        let fixed_cfg = cell_case(scheme, family, seed, static_policy(scheme), "static");
-        let closed_cfg = cell_case(scheme, family, seed, closed_policy(scheme), "closed");
-        CellRow {
-            scheme,
-            family,
-            fixed: run_case(&fixed_cfg),
-            closed: run_case(&closed_cfg),
-        }
-    })
-}
-
-/// [`run_bench_parallel`] with telemetry: per-shard private recorders,
-/// absorbed in grid order at merge, so the combined recording is
-/// thread-count invariant too.
-#[must_use]
-pub fn run_bench_traced(threads: usize) -> (Vec<CellRow>, Recorder) {
-    let cells = bench_cells();
-    let sharded = run_shards(threads, &cells, |_, &(scheme, family, seed)| {
-        let rec = Rc::new(Recorder::new());
-        let row = run_cell(scheme, family, seed, &Telemetry::from_recorder(&rec));
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("run_case_with released every telemetry handle");
-        (row, rec)
-    });
-    let combined = Recorder::new();
-    let rows = sharded
-        .into_iter()
-        .map(|(row, rec)| {
-            combined.absorb(&rec);
-            row
-        })
-        .collect();
-    (rows, combined)
-}
-
-/// [`run_bench_traced`] with the health monitor folded over every run:
-/// each cell keeps two private recorders — one per variant — so the
-/// static and closed runs each get their own incident-report scope
-/// (`scheme/family/static` and `scheme/family/closed`). Scopes are
-/// pushed and recorders absorbed in variant order within grid order, so
-/// the incident report and the merged recorder are byte-identical for
-/// every thread count.
-#[must_use]
-pub fn run_bench_health(
-    threads: usize,
-    health_cfg: &HealthConfig,
-) -> (Vec<CellRow>, HealthReport, Recorder) {
-    run_health_cells(&bench_cells(), threads, health_cfg)
-}
-
-/// [`run_bench_health`] over an explicit cell list (the tests use a
-/// sub-grid; the binary runs the full grid).
-#[must_use]
-pub fn run_health_cells(
+pub fn run_bench(
     cells: &[(Scheme, ScheduleFamily, u64)],
     threads: usize,
-    health_cfg: &HealthConfig,
-) -> (Vec<CellRow>, HealthReport, Recorder) {
-    let sharded = run_shards(threads, cells, |_, &(scheme, family, seed)| {
-        let run_traced = |policy: ControlPolicy, variant: &str| {
-            let cfg = cell_case(scheme, family, seed, policy, variant);
-            let rec = Rc::new(Recorder::new());
-            let out = run_case_with(&cfg, Telemetry::from_recorder(&rec));
-            let rec = Rc::try_unwrap(rec)
-                .ok()
-                .expect("run_case_with released every telemetry handle");
-            let scope = HealthAggregator::scope_from_recorder(&cfg.name, health_cfg, &rec);
-            (out, scope, rec)
-        };
-        let (fixed, fixed_scope, fixed_rec) = run_traced(static_policy(scheme), "static");
-        let (closed, closed_scope, closed_rec) = run_traced(closed_policy(scheme), "closed");
-        let row = CellRow {
-            scheme,
-            family,
-            fixed,
-            closed,
-        };
-        (row, [fixed_scope, closed_scope], [fixed_rec, closed_rec])
-    });
-    let combined = Recorder::new();
-    let mut health = HealthReport::new();
-    let rows = sharded
-        .into_iter()
-        .map(|(row, scopes, recs)| {
-            for (scope, rec) in scopes.into_iter().zip(recs.iter()) {
-                combined.absorb(rec);
-                health.push_scope(scope);
+    observe: &Observe,
+) -> (Vec<CellRow>, Observation) {
+    observe.merge(run_shards(threads, cells, |_, &(scheme, family, seed)| {
+        observe.cell(|obs| {
+            let mut variant = |policy: ControlPolicy, name: &str| {
+                let cfg = cell_case(scheme, family, seed, policy, name);
+                obs.run(&cfg.name, |sub| run_case_with(&cfg, sub.telemetry()))
+            };
+            let fixed = variant(static_policy(scheme), "static");
+            let closed = variant(closed_policy(scheme), "closed");
+            CellRow {
+                scheme,
+                family,
+                fixed,
+                closed,
             }
-            row
         })
-        .collect();
-    (rows, health, combined)
-}
-
-/// Formats an `f64` for the JSON output (deterministic fixed-precision
-/// exponential, same convention as the other benches).
-fn num(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_owned()
-    } else {
-        format!("{x:.6e}")
-    }
+    }))
 }
 
 fn variant_json(out: &CaseOutcome) -> String {
@@ -404,10 +311,10 @@ fn variant_json(out: &CaseOutcome) -> String {
     format!(
         "{{\"energy_per_word\": {}, \"residual_rate\": {}, \"undetected_rate\": {}, \
          \"cycles_per_word\": {}, \"transitions\": {}, \"emergencies\": {emergencies}}}",
-        num(hop.energy_per_word(LAMBDA)),
-        num(hop.residual_rate()),
-        num(hop.undetected_rate()),
-        num(out.report.cycles_per_word()),
+        sci(hop.energy_per_word(LAMBDA)),
+        sci(hop.residual_rate()),
+        sci(hop.undetected_rate()),
+        sci(out.report.cycles_per_word()),
         hop.control.len(),
     )
 }
@@ -421,9 +328,9 @@ pub fn render_json(rows: &[CellRow]) -> String {
     let _ = writeln!(json, "  \"words_per_cell\": {WORDS},");
     let _ = writeln!(json, "  \"hops\": {HOPS},");
     let _ = writeln!(json, "  \"lambda\": {LAMBDA},");
-    let _ = writeln!(json, "  \"base_eps\": {}, ", num(BASE_EPS));
+    let _ = writeln!(json, "  \"base_eps\": {}, ", sci(BASE_EPS));
     let _ = writeln!(json, "  \"margin_swing\": {MARGIN_SWING},");
-    let _ = writeln!(json, "  \"target_wer\": {},", num(TARGET_WER));
+    let _ = writeln!(json, "  \"target_wer\": {},", sci(TARGET_WER));
     json.push_str("  \"cells\": [\n");
     let mut first = true;
     for row in rows {
@@ -439,7 +346,7 @@ pub fn render_json(rows: &[CellRow]) -> String {
         let _ = write!(
             json,
             "\"energy_saved_frac\": {}, ",
-            num(row.energy_saved_frac())
+            sci(row.energy_saved_frac())
         );
         let _ = write!(json, "\"saved\": {}, ", row.saved());
         let _ = write!(json, "\"wer_met\": {}, ", row.wer_met());
@@ -461,7 +368,7 @@ pub fn render_json(rows: &[CellRow]) -> String {
     let _ = writeln!(
         json,
         "    \"worst_closed_undetected\": {},",
-        num(worst_residual)
+        sci(worst_residual)
     );
     let _ = writeln!(json, "    \"wer_met_everywhere\": {wer_ok},");
     let _ = writeln!(json, "    \"violations\": {violations},");
@@ -481,57 +388,21 @@ pub fn gate_passed(rows: &[CellRow]) -> bool {
         && rows.iter().all(|r| r.violations() == 0)
 }
 
+/// The flags the `dvs` binary accepts.
+pub const FLAGS: &[&str] = &["--threads", "--trace-out", "--health-out"];
+
 /// The `dvs` binary's entry point.
 /// Args: `[--threads N] [--trace-out <path>] [--health-out <path>]
 /// [out_path]`.
 /// Returns the process exit code (nonzero iff the gate fails).
 #[must_use]
 pub fn main_with_args(args: &[String]) -> i32 {
-    let mut threads = default_threads();
-    let mut trace_out: Option<String> = None;
-    let mut health_out: Option<String> = None;
-    let mut out_path = "results/BENCH_dvs.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| parse_threads(v)) else {
-                    eprintln!("dvs: --threads needs a positive integer");
-                    return 2;
-                };
-                threads = n;
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("dvs: --trace-out needs a path");
-                    return 2;
-                };
-                trace_out = Some(path.clone());
-            }
-            "--health-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("dvs: --health-out needs a path");
-                    return 2;
-                };
-                health_out = Some(path.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("dvs: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
-        }
-    }
-    let started = std::time::Instant::now();
-    let (rows, health, recorder) = if health_out.is_some() {
-        let (rows, health, rec) = run_bench_health(threads, &HealthConfig::default());
-        (rows, Some(health), Some(rec))
-    } else if trace_out.is_some() {
-        let (rows, rec) = run_bench_traced(threads);
-        (rows, None, Some(rec))
-    } else {
-        (run_bench_parallel(threads), None, None)
+    let Some(opts) = RunOpts::parse("dvs", FLAGS, args) else {
+        return 2;
     };
+    let observe = Observe::for_outputs(opts.trace_out.is_some(), opts.health_out.is_some());
+    let started = std::time::Instant::now();
+    let (rows, seen) = run_bench(&bench_cells(), opts.threads, &observe);
     let wall = started.elapsed();
     for row in &rows {
         eprintln!(
@@ -545,57 +416,24 @@ pub fn main_with_args(args: &[String]) -> i32 {
             row.violations(),
         );
     }
-    let json = render_json(&rows);
-    if let Some(dir) = Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write dvs output");
-    if let (Some(path), Some(health)) = (&health_out, &health) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create health directory");
-            }
-        }
-        std::fs::write(path, health.serialize()).expect("write incident report");
-        let incidents: usize = health.scopes.iter().map(|s| s.incidents.len()).sum();
-        let alerts: usize = health.scopes.iter().map(|s| s.alerts.len()).sum();
-        eprintln!(
-            "dvs: incidents -> {path} ({} scope(s), {incidents} incident(s), {alerts} alert(s))",
-            health.scopes.len()
-        );
-    }
-    if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create trace directory");
-            }
-        }
-        std::fs::write(path, rec.export_jsonl()).expect("write telemetry JSONL");
-        let perfetto = format!("{path}.trace.json");
-        // When the health monitor ran, its scores and budget burn ride
-        // along as Perfetto counter tracks.
-        let counters = health
-            .as_ref()
-            .map(HealthReport::counter_samples)
-            .unwrap_or_default();
-        std::fs::write(&perfetto, rec.export_chrome_trace_with_counters(&counters))
-            .expect("write Perfetto trace");
-        let stats = rec.ring_stats();
-        eprintln!(
-            "dvs: telemetry -> {path} + {perfetto} ({} recorded, {} dropped)",
-            stats.recorded, stats.dropped
-        );
-        if let Some(warning) = stats.overflow_warning() {
-            eprintln!("dvs: {warning}");
-        }
+    let out_path = opts.out_or("results/BENCH_dvs.json");
+    if let Err(e) = seen.write_artefacts(
+        "dvs",
+        out_path,
+        &render_json(&rows),
+        opts.trace_out.as_deref(),
+        opts.health_out.as_deref(),
+        &mut std::io::stderr(),
+    ) {
+        eprintln!("dvs: {e}");
+        return 2;
     }
     let saving = rows.iter().filter(|r| r.saved()).count();
     let gate = gate_passed(&rows);
     eprintln!(
-        "dvs: {} cells ({saving} saving energy) on {threads} thread(s) in {:.2}s -> {out_path} (gate {})",
+        "dvs: {} cells ({saving} saving energy) on {} thread(s) in {:.2}s -> {out_path} (gate {})",
         rows.len(),
+        opts.threads,
         wall.as_secs_f64(),
         if gate { "PASSED" } else { "FAILED" },
     );
@@ -638,10 +476,15 @@ mod tests {
     #[test]
     fn health_report_is_thread_count_invariant() {
         let cells = vec![(Scheme::Parity, ScheduleFamily::DroopStorm, 2u64)];
-        let cfg = HealthConfig::default();
-        let (rows1, health1, rec1) = run_health_cells(&cells, 1, &cfg);
-        let (rows8, health8, rec8) = run_health_cells(&cells, 8, &cfg);
+        let observe = Observe::Health(socbus_telemetry::HealthConfig::default());
+        let (rows1, seen1) = run_bench(&cells, 1, &observe);
+        let (rows8, seen8) = run_bench(&cells, 8, &observe);
+        let (health1, health8) = (seen1.health.expect("health"), seen8.health.expect("health"));
         assert_eq!(health1.serialize(), health8.serialize());
+        let (rec1, rec8) = (
+            seen1.recorder.expect("traced"),
+            seen8.recorder.expect("traced"),
+        );
         assert_eq!(rec1.export_jsonl(), rec8.export_jsonl());
         assert_eq!(render_json(&rows1), render_json(&rows8));
         let scopes: Vec<&str> = health1.scopes.iter().map(|s| s.scope.as_str()).collect();
@@ -655,20 +498,11 @@ mod tests {
     /// hold the residual target, and keep every invariant.
     #[test]
     fn droop_cell_saves_energy_within_the_wer_target() {
-        let row = run_shards(1, &[(Scheme::Parity, ScheduleFamily::DroopStorm, 2u64)], {
-            |_, &(scheme, family, seed)| {
-                let fixed = cell_case(scheme, family, seed, static_policy(scheme), "static");
-                let closed = cell_case(scheme, family, seed, closed_policy(scheme), "closed");
-                CellRow {
-                    scheme,
-                    family,
-                    fixed: run_case(&fixed),
-                    closed: run_case(&closed),
-                }
-            }
-        })
-        .pop()
-        .expect("one row");
+        let cells = [(Scheme::Parity, ScheduleFamily::DroopStorm, 2u64)];
+        let row = run_bench(&cells, 1, &Observe::Off)
+            .0
+            .pop()
+            .expect("one row");
         assert_eq!(row.violations(), 0, "{:?}", row.closed.violations.first());
         assert!(row.saved(), "saved {:.3}", row.energy_saved_frac());
         assert!(row.wer_met());

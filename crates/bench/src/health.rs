@@ -29,15 +29,15 @@
 //! `--gate PCT`).
 
 use std::fmt::Write as _;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 use socbus_chaos::mesh::{
-    mesh_cells, mesh_smoke_cells, render_mesh_json, run_mesh_campaign_health,
-    run_mesh_campaign_traced, MeshCaseOutcome, MeshFamily, FULL_MESH_CYCLES, SMOKE_MESH_CYCLES,
+    mesh_cells, mesh_smoke_cells, render_mesh_json, run_mesh_campaign, MeshCaseOutcome, MeshFamily,
+    FULL_MESH_CYCLES, SMOKE_MESH_CYCLES,
 };
 use socbus_codes::Scheme;
-use socbus_telemetry::HealthConfig;
+use socbus_exec::RunOpts;
+use socbus_telemetry::{write_output, HealthConfig, Observe};
 
 /// FNV-1a over a byte string — the determinism witness of the incident
 /// report (same hash family as the codec bench's stream checksums).
@@ -187,24 +187,29 @@ pub fn run_gate(
     reps: u32,
 ) -> HealthGateOutcome {
     assert!(reps > 0, "the gate needs at least one campaign per sample");
-    let health_cfg = HealthConfig::default();
+    let health_observe = Observe::Health(HealthConfig::default());
     let time_traced = || {
         let start = Instant::now();
         let mut last = None;
         for _ in 0..reps {
-            last = Some(run_mesh_campaign_traced(cells, cycles, 1));
+            last = Some(run_mesh_campaign(cells, cycles, 1, &Observe::Trace));
         }
-        let (outcomes, rec) = last.expect("reps > 0");
-        (start.elapsed(), outcomes, rec.export_jsonl())
+        let (outcomes, seen) = last.expect("reps > 0");
+        let elapsed = start.elapsed();
+        let rec = seen.recorder.expect("traced");
+        (elapsed, outcomes, rec.export_jsonl())
     };
     let time_health = || {
         let start = Instant::now();
         let mut last = None;
         for _ in 0..reps {
-            last = Some(run_mesh_campaign_health(cells, cycles, 1, &health_cfg));
+            last = Some(run_mesh_campaign(cells, cycles, 1, &health_observe));
         }
-        let (outcomes, health, rec) = last.expect("reps > 0");
-        (start.elapsed(), outcomes, health, rec.export_jsonl())
+        let (outcomes, seen) = last.expect("reps > 0");
+        let elapsed = start.elapsed();
+        let health = seen.health.expect("health observation");
+        let rec = seen.recorder.expect("traced");
+        (elapsed, outcomes, health, rec.export_jsonl())
     };
 
     // Warm-up (not timed): lazily-faulted pages and the allocator reach
@@ -278,73 +283,49 @@ pub fn run_gate(
     }
 }
 
+/// The flags the `health` binary accepts.
+pub const FLAGS: &[&str] = &["--smoke", "--runs", "--reps", "--gate"];
+
 /// The `health` benchmark binary's entry point.
 /// Args: `[--smoke] [--runs N] [--reps N] [--gate PCT] [out_path]`.
 /// Returns the process exit code: 0 pass, 1 gate fail, 2 usage.
 #[must_use]
 pub fn main_with_args(args: &[String]) -> i32 {
-    let mut smoke = false;
+    let Some(opts) = RunOpts::parse("health", FLAGS, args) else {
+        return 2;
+    };
     // The mesh campaign is a short workload (~0.15 s), so the defaults
     // stretch each timed sample to ~0.6 s (4 reps) and take the median
     // over 8 interleaved pairs — a single campaign per sample flaps by
     // several percent under scheduler noise.
-    let mut runs: u32 = 8;
-    let mut reps: u32 = 4;
-    let mut gate_pct: f64 = 3.0;
-    let mut out_path = "results/BENCH_health.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--runs" => {
-                let Some(n) = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &u32| n > 0)
-                else {
-                    eprintln!("health: --runs needs a positive integer");
-                    return 2;
-                };
-                runs = n;
-            }
-            "--reps" => {
-                let Some(n) = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &u32| n > 0)
-                else {
-                    eprintln!("health: --reps needs a positive integer");
-                    return 2;
-                };
-                reps = n;
-            }
-            "--gate" => {
-                let Some(pct) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("health: --gate needs a percentage");
-                    return 2;
-                };
-                gate_pct = pct;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("health: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
+    let count = |flag: &str, default: u32| match opts.value(flag) {
+        None => Some(default),
+        Some(v) => v.parse().ok().filter(|&n: &u32| n > 0),
+    };
+    let (Some(runs), Some(reps)) = (count("--runs", 8), count("--reps", 4)) else {
+        eprintln!("health: --runs and --reps need a positive integer");
+        return 2;
+    };
+    // A non-finite gate would pass (inf) or fail (NaN) unconditionally.
+    let gate_pct = match opts.value("--gate").map(str::parse::<f64>) {
+        None => 3.0,
+        Some(Ok(pct)) if pct.is_finite() && pct >= 0.0 => pct,
+        Some(_) => {
+            eprintln!("health: --gate needs a finite, non-negative percentage");
+            return 2;
         }
-    }
-    let (cells, cycles) = if smoke {
+    };
+    let (cells, cycles) = if opts.smoke {
         (mesh_smoke_cells(), SMOKE_MESH_CYCLES)
     } else {
         (mesh_cells(), FULL_MESH_CYCLES)
     };
     let outcome = run_gate(&cells, cycles, runs, reps);
-    let json = outcome.render_json(gate_pct);
-    if let Some(dir) = Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
+    let out_path = opts.out_or("results/BENCH_health.json");
+    if let Err(e) = write_output(out_path, &outcome.render_json(gate_pct)) {
+        eprintln!("health: {e}");
+        return 2;
     }
-    std::fs::write(&out_path, &json).expect("write health gate output");
     eprintln!(
         "health: traced min {:.3}s, health min {:.3}s, median pair overhead {:+.2}% \
          (gate {gate_pct}%) -> {out_path}",
@@ -395,6 +376,34 @@ mod tests {
         // Even count: mean of the two middle ratios.
         outcome.pair_ratios = vec![0.98, 1.00, 1.04, 1.50];
         assert!((outcome.overhead_pct() - 2.0).abs() < 1e-9);
+    }
+
+    /// Gates no measurement can fail or pass are usage errors, not
+    /// verdicts: they exit 2 before any campaign runs.
+    fn gate_exit(gate: &str) -> i32 {
+        main_with_args(&["--smoke".to_owned(), "--gate".to_owned(), gate.to_owned()])
+    }
+
+    #[test]
+    fn infinite_gate_is_rejected() {
+        assert_eq!(gate_exit("inf"), 2);
+    }
+
+    #[test]
+    fn nan_gate_is_rejected() {
+        assert_eq!(gate_exit("NaN"), 2);
+    }
+
+    #[test]
+    fn negative_gate_is_rejected() {
+        assert_eq!(gate_exit("-1"), 2);
+    }
+
+    #[test]
+    fn zero_sample_counts_are_rejected() {
+        for flag in ["--runs", "--reps"] {
+            assert_eq!(main_with_args(&[flag.to_owned(), "0".to_owned()]), 2);
+        }
     }
 
     /// A one-cell gate run end to end: artifacts stable, JSON renders,

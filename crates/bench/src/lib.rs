@@ -12,9 +12,9 @@ pub mod dvs;
 pub mod fmt;
 pub mod health;
 pub mod mesh;
+pub mod parallel;
 pub mod rare;
 pub mod reliability;
-pub mod soak;
 pub mod sweeps;
 
 pub use designs::{design_point, residual_model_for, DesignOptions};

@@ -27,15 +27,14 @@
 //! `--smoke` mode, every (shallow) cell certified.
 
 use std::fmt::Write as _;
-use std::path::Path;
-use std::rc::Rc;
 
 use socbus_channel::rare::{
     certify_traced, failure_profile, oracle_catalog, Certification, Method, RareChannel,
 };
 use socbus_codes::Scheme;
-use socbus_exec::{default_threads, parse_threads, shard_seed};
-use socbus_telemetry::{Recorder, Telemetry};
+use socbus_exec::{shard_seed, RunOpts};
+use socbus_telemetry::json::sci;
+use socbus_telemetry::{Observe, Telemetry};
 
 /// Relative 95% CI half-width every cell drives toward (under the
 /// ≤ 30% acceptance bar, with margin).
@@ -184,18 +183,6 @@ pub fn deep_certified(results: &[CellResult]) -> usize {
         .count()
 }
 
-/// Formats an `f64` for the JSON output (deterministic, diff-friendly);
-/// non-finite values render as JSON `null`.
-fn num(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_owned()
-    } else if x.is_finite() {
-        format!("{x:.6e}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Short method label for the JSON.
 fn method_label(method: &Method) -> String {
     match method {
@@ -221,7 +208,7 @@ pub fn render_json(results: &[CellResult], smoke: bool) -> String {
             MAX_WORDS_PER_CELL
         }
     );
-    let _ = writeln!(json, "  \"deep_wer_ceiling\": {},", num(DEEP_WER_CEILING));
+    let _ = writeln!(json, "  \"deep_wer_ceiling\": {},", sci(DEEP_WER_CEILING));
     let _ = writeln!(
         json,
         "  \"deep_certified_schemes\": {},",
@@ -238,12 +225,12 @@ pub fn render_json(results: &[CellResult], smoke: bool) -> String {
         let _ = write!(json, "\"scheme\": \"{}\", ", r.cell.scheme.name());
         let _ = write!(json, "\"k\": {}, ", r.cell.k);
         let _ = write!(json, "\"wires\": {}, ", r.cell.wires);
-        let _ = write!(json, "\"eps\": {}, ", num(r.cell.eps));
-        let _ = write!(json, "\"exact_wer\": {}, ", num(r.cell.exact));
+        let _ = write!(json, "\"eps\": {}, ", sci(r.cell.eps));
+        let _ = write!(json, "\"exact_wer\": {}, ", sci(r.cell.exact));
         let _ = write!(json, "\"deep\": {}, ", r.cell.deep);
-        let _ = write!(json, "\"rate\": {}, ", num(r.cert.rate));
-        let _ = write!(json, "\"ci95\": {}, ", num(r.cert.ci95));
-        let _ = write!(json, "\"rel_ci95\": {}, ", num(r.cert.rel_ci95));
+        let _ = write!(json, "\"rate\": {}, ", sci(r.cert.rate));
+        let _ = write!(json, "\"ci95\": {}, ", sci(r.cert.ci95));
+        let _ = write!(json, "\"rel_ci95\": {}, ", sci(r.cert.rel_ci95));
         let _ = write!(json, "\"words\": {}, ", r.cert.words);
         let _ = write!(json, "\"method\": \"{}\", ", method_label(&r.cert.method));
         let _ = write!(json, "\"converged\": {}, ", r.cert.converged);
@@ -254,47 +241,30 @@ pub fn render_json(results: &[CellResult], smoke: bool) -> String {
     json
 }
 
+/// The flags the `rare` binary accepts.
+pub const FLAGS: &[&str] = &["--smoke", "--threads", "--trace-out"];
+
 /// The `rare` binary's entry point.
 /// Args: `[--smoke] [--threads N] [--trace-out <path>] [out_path]`.
 /// Returns the process exit code (nonzero when the acceptance gate
 /// fails).
 #[must_use]
 pub fn main_with_args(args: &[String]) -> i32 {
-    let mut threads = default_threads();
-    let mut smoke = false;
-    let mut trace_out: Option<String> = None;
-    let mut out_path = "results/BENCH_rare.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| parse_threads(v)) else {
-                    eprintln!("rare: --threads needs a positive integer");
-                    return 2;
-                };
-                threads = n;
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("rare: --trace-out needs a path");
-                    return 2;
-                };
-                trace_out = Some(path.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("rare: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
-        }
-    }
+    let Some(opts) = RunOpts::parse("rare", FLAGS, args) else {
+        return 2;
+    };
+    let smoke = opts.smoke;
     let started = std::time::Instant::now();
-    let recorder = trace_out.as_ref().map(|_| Rc::new(Recorder::new()));
-    let tel = recorder
-        .as_ref()
-        .map_or_else(Telemetry::off, Telemetry::from_recorder);
-    let results = run_sweep(smoke, threads, &tel);
+    // Cells run in sequence, each sharding internally, so the whole
+    // sweep is one observed sub-run.
+    let observe = Observe::for_outputs(opts.trace_out.is_some(), false);
+    let sweep = observe.cell(|obs| {
+        obs.run("rare", |sub| {
+            run_sweep(smoke, opts.threads, &sub.telemetry())
+        })
+    });
+    let (mut sweeps, seen) = observe.merge(vec![sweep]);
+    let results = sweeps.pop().expect("one sweep");
     let wall = started.elapsed();
     for r in &results {
         eprintln!(
@@ -310,31 +280,22 @@ pub fn main_with_args(args: &[String]) -> i32 {
             if r.cell.deep { " [deep]" } else { "" },
         );
     }
-    let json = render_json(&results, smoke);
-    if let Some(dir) = Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write sweep output");
-    if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create trace directory");
-            }
-        }
-        std::fs::write(path, rec.export_jsonl()).expect("write telemetry JSONL");
-        let perfetto = format!("{path}.trace.json");
-        std::fs::write(&perfetto, rec.export_chrome_trace()).expect("write Perfetto trace");
-        let stats = rec.ring_stats();
-        eprintln!(
-            "rare: telemetry -> {path} + {perfetto} ({} recorded, {} dropped)",
-            stats.recorded, stats.dropped
-        );
+    let out_path = opts.out_or("results/BENCH_rare.json");
+    if let Err(e) = seen.write_artefacts(
+        "rare",
+        out_path,
+        &render_json(&results, smoke),
+        opts.trace_out.as_deref(),
+        None,
+        &mut std::io::stderr(),
+    ) {
+        eprintln!("rare: {e}");
+        return 2;
     }
     eprintln!(
-        "wrote {} cells on {threads} thread(s) in {:.2}s to {out_path}",
+        "wrote {} cells on {} thread(s) in {:.2}s to {out_path}",
         results.len(),
+        opts.threads,
         wall.as_secs_f64()
     );
     if smoke {
@@ -397,9 +358,9 @@ mod tests {
     /// as invalid JSON tokens.
     #[test]
     fn num_renders_non_finite_as_null() {
-        assert_eq!(num(f64::INFINITY), "null");
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(0.0), "0.0");
-        assert_eq!(num(3.25e-11), "3.250000e-11");
+        assert_eq!(sci(f64::INFINITY), "null");
+        assert_eq!(sci(f64::NAN), "null");
+        assert_eq!(sci(0.0), "0.0");
+        assert_eq!(sci(3.25e-11), "3.250000e-11");
     }
 }

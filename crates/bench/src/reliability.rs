@@ -20,15 +20,14 @@
 //! for a telemetry event log plus Perfetto trace of the sweep).
 
 use std::fmt::Write as _;
-use std::path::Path;
-use std::rc::Rc;
 
 use socbus_channel::{BridgeMode, FaultSpec};
 use socbus_codes::Scheme;
-use socbus_exec::{default_threads, parse_threads, run_shards};
+use socbus_exec::{run_shards, RunOpts};
 use socbus_noc::link::{simulate_link_with, LinkConfig, LinkReport};
 use socbus_noc::traffic::UniformTraffic;
-use socbus_telemetry::{Recorder, Telemetry};
+use socbus_telemetry::json::sci;
+use socbus_telemetry::{Observation, Observe, Telemetry};
 
 /// Data bits per transferred word.
 pub const DATA_BITS: usize = 16;
@@ -103,56 +102,29 @@ fn run_cell(scheme: Scheme, spec: &FaultSpec, tel: Telemetry) -> LinkReport {
     )
 }
 
-/// Runs the whole sweep on up to `threads` workers; reports come back in
-/// grid order, identically for every thread count.
+/// Runs the whole sweep on up to `threads` workers under `observe`, one
+/// sub-run per cell (`scheme/fault`); reports and the merged recording
+/// come back in grid order, identically for every thread count.
 #[must_use]
-pub fn run_sweep_parallel(threads: usize) -> Vec<(Scheme, &'static str, FaultSpec, LinkReport)> {
-    let cells = sweep_cells();
-    run_shards(threads, &cells, |_, (scheme, fault_name, spec)| {
-        (
-            *scheme,
-            *fault_name,
-            spec.clone(),
-            run_cell(*scheme, spec, Telemetry::off()),
-        )
-    })
-}
-
-/// [`run_sweep_parallel`] with telemetry: per-shard recorders, absorbed
-/// in grid order at merge (see `Recorder::absorb`), so the combined
-/// recording is thread-count invariant too.
-#[must_use]
-pub fn run_sweep_traced(
+pub fn run_sweep(
     threads: usize,
-) -> (Vec<(Scheme, &'static str, FaultSpec, LinkReport)>, Recorder) {
+    observe: &Observe,
+) -> (
+    Vec<(Scheme, &'static str, FaultSpec, LinkReport)>,
+    Observation,
+) {
     let cells = sweep_cells();
-    let sharded = run_shards(threads, &cells, |_, (scheme, fault_name, spec)| {
-        let rec = Rc::new(Recorder::new());
-        let report = run_cell(*scheme, spec, Telemetry::from_recorder(&rec));
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("simulate_link_with released every telemetry handle");
-        (*scheme, *fault_name, spec.clone(), report, rec)
-    });
-    let combined = Recorder::new();
-    let runs = sharded
-        .into_iter()
-        .map(|(scheme, fault_name, spec, report, rec)| {
-            combined.absorb(&rec);
-            (scheme, fault_name, spec, report)
-        })
-        .collect();
-    (runs, combined)
-}
-
-/// Formats an `f64` for the JSON output. Exponential with fixed
-/// precision keeps the rendering deterministic and diff-friendly.
-fn num(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_owned()
-    } else {
-        format!("{x:.6e}")
-    }
+    observe.merge(run_shards(
+        threads,
+        &cells,
+        |_, (scheme, fault_name, spec)| {
+            observe.cell(|obs| {
+                let name = format!("{}/{fault_name}", scheme.name());
+                let report = obs.run(&name, |sub| run_cell(*scheme, spec, sub.telemetry()));
+                (*scheme, *fault_name, spec.clone(), report)
+            })
+        },
+    ))
 }
 
 /// Renders the sweep JSON (the `results/BENCH_reliability.json` format).
@@ -177,7 +149,7 @@ pub fn render_json(runs: &[(Scheme, &'static str, FaultSpec, LinkReport)]) -> St
         let _ = write!(json, "\"fault_detail\": \"{}\", ", spec.label());
         let _ = write!(json, "\"offered\": {}, ", r.offered);
         let _ = write!(json, "\"residual_errors\": {}, ", r.residual_errors);
-        let _ = write!(json, "\"residual_rate\": {}, ", num(r.residual_rate()));
+        let _ = write!(json, "\"residual_rate\": {}, ", sci(r.residual_rate()));
         let _ = write!(json, "\"corrected\": {}, ", r.corrected);
         let _ = write!(json, "\"detected\": {}, ", r.detected);
         let _ = write!(json, "\"retransmits\": {}, ", r.retransmits);
@@ -185,7 +157,7 @@ pub fn render_json(runs: &[(Scheme, &'static str, FaultSpec, LinkReport)]) -> St
         let _ = write!(
             json,
             "\"energy_per_word\": {}",
-            num(r.energy_per_word(LAMBDA))
+            sci(r.energy_per_word(LAMBDA))
         );
         json.push('}');
     }
@@ -193,45 +165,20 @@ pub fn render_json(runs: &[(Scheme, &'static str, FaultSpec, LinkReport)]) -> St
     json
 }
 
+/// The flags the `reliability` binary accepts.
+pub const FLAGS: &[&str] = &["--threads", "--trace-out"];
+
 /// The `reliability` binary's entry point.
 /// Args: `[--threads N] [--trace-out <path>] [out_path]`.
 /// Returns the process exit code.
 #[must_use]
 pub fn main_with_args(args: &[String]) -> i32 {
-    let mut threads = default_threads();
-    let mut trace_out: Option<String> = None;
-    let mut out_path = "results/BENCH_reliability.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| parse_threads(v)) else {
-                    eprintln!("reliability: --threads needs a positive integer");
-                    return 2;
-                };
-                threads = n;
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("reliability: --trace-out needs a path");
-                    return 2;
-                };
-                trace_out = Some(path.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("reliability: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
-        }
-    }
-    let started = std::time::Instant::now();
-    let (runs, recorder) = if trace_out.is_some() {
-        let (runs, rec) = run_sweep_traced(threads);
-        (runs, Some(rec))
-    } else {
-        (run_sweep_parallel(threads), None)
+    let Some(opts) = RunOpts::parse("reliability", FLAGS, args) else {
+        return 2;
     };
+    let observe = Observe::for_outputs(opts.trace_out.is_some(), false);
+    let started = std::time::Instant::now();
+    let (runs, seen) = run_sweep(opts.threads, &observe);
     let wall = started.elapsed();
     for (scheme, fault_name, _, r) in &runs {
         eprintln!(
@@ -243,33 +190,24 @@ pub fn main_with_args(args: &[String]) -> i32 {
             r.detected,
         );
     }
-    let json = render_json(&runs);
-    if let Some(dir) = Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write sweep output");
-    if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create trace directory");
-            }
-        }
-        std::fs::write(path, rec.export_jsonl()).expect("write telemetry JSONL");
-        let perfetto = format!("{path}.trace.json");
-        std::fs::write(&perfetto, rec.export_chrome_trace()).expect("write Perfetto trace");
-        let stats = rec.ring_stats();
-        eprintln!(
-            "reliability: telemetry -> {path} + {perfetto} ({} recorded, {} dropped)",
-            stats.recorded, stats.dropped
-        );
+    let out_path = opts.out_or("results/BENCH_reliability.json");
+    if let Err(e) = seen.write_artefacts(
+        "reliability",
+        out_path,
+        &render_json(&runs),
+        opts.trace_out.as_deref(),
+        None,
+        &mut std::io::stderr(),
+    ) {
+        eprintln!("reliability: {e}");
+        return 2;
     }
     let schemes = Scheme::catalog().len();
     let faults = fault_suite().len();
     eprintln!(
-        "wrote {} runs ({schemes} schemes x {faults} fault models) on {threads} thread(s) in {:.2}s to {out_path}",
+        "wrote {} runs ({schemes} schemes x {faults} fault models) on {} thread(s) in {:.2}s to {out_path}",
         runs.len(),
+        opts.threads,
         wall.as_secs_f64()
     );
     0

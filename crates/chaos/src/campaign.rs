@@ -4,25 +4,32 @@
 //! is a *static shard list*: one cell is one shard, named and seeded by
 //! its grid position alone. Worker threads claim cells from the engine's
 //! atomic queue, each cell constructs its own `PathSim` (and, when
-//! tracing, its own private [`Recorder`]) *inside* the shard, and the
-//! outcomes merge in grid order. The rendered JSON is therefore
-//! byte-identical for `--threads 1` and `--threads N` — the property CI
-//! pins by running the bins at both and `cmp`-ing.
+//! observed, its own private recorder via [`Observe::cell`]) *inside*
+//! the shard, and the outcomes merge in grid order. The rendered JSON
+//! is therefore byte-identical for `--threads 1` and `--threads N` —
+//! the property CI pins by running the bins at both and `cmp`-ing.
 //!
-//! This module is the single implementation behind both entry points:
-//! `cargo run --bin soak` and `cargo run --bin chaos -- run`.
+//! This module is the single implementation behind `cargo run --bin
+//! soak`, `cargo run --bin chaos -- run` and `chaos control` (the
+//! controller campaign: the same runner over a different grid).
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use socbus_codes::Scheme;
-use socbus_exec::{default_threads, parse_threads, run_shards};
-use socbus_telemetry::{HealthAggregator, HealthConfig, HealthReport, Recorder, Telemetry};
+use socbus_exec::{run_shards, RunOpts};
+use socbus_telemetry::json::sci;
+use socbus_telemetry::{
+    write_output, HealthAggregator, HealthConfig, HealthReport, Observation, Observe, Recorder,
+    Telemetry,
+};
 
-use crate::cli::{build_case, build_control_case, write_repro, DEFAULT_DATA_BITS};
+use crate::cli::{
+    build_case, build_control_case, replay_text_with, write_repro, DEFAULT_DATA_BITS,
+};
 use crate::monitor::InvariantKind;
-use crate::runner::{run_case, run_case_with, CaseOutcome};
+use crate::runner::{run_case_with, CaseConfig, CaseOutcome};
 use crate::schedule::ScheduleFamily;
 
 /// Words per case in the default campaign.
@@ -31,16 +38,6 @@ pub const FULL_WORDS: u64 = 2_000;
 pub const SMOKE_WORDS: u64 = 300;
 /// Hops per case.
 pub const HOPS: usize = 3;
-
-/// Formats an `f64` for the JSON output (same convention as the
-/// reliability sweep: fixed-precision exponential, deterministic).
-fn num(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_owned()
-    } else {
-        format!("{x:.6e}")
-    }
-}
 
 /// The static shard list: one campaign cell per (scheme, family) grid
 /// position, seeded deterministically from that position.
@@ -59,32 +56,43 @@ pub fn campaign_cells(words: u64) -> Vec<(Scheme, ScheduleFamily, u64)> {
     cells
 }
 
-/// Runs the whole campaign single-threaded, untraced — the legacy entry
-/// point; exactly [`run_campaign_parallel`] with one thread.
-#[must_use]
-pub fn run_campaign(words: u64) -> Vec<(String, CaseOutcome)> {
-    run_campaign_parallel(words, 1)
-}
+/// One campaign cell: scheme, schedule family and seed.
+type Cell = (Scheme, ScheduleFamily, u64);
 
-/// Runs the whole campaign on up to `threads` workers, cell outcomes
-/// returned in grid order — identical to the single-threaded run for
-/// every thread count (cells are independent and self-seeded; the merge
-/// order is the grid order).
+/// Builds one case from a campaign cell: [`build_case`] for the soak
+/// campaign, [`build_control_case`] for the controller campaign.
+pub type CaseBuilder = fn(Scheme, ScheduleFamily, u64, u64, usize) -> CaseConfig;
+
+/// The flags `soak`, `chaos run` and `chaos control` accept.
+pub const FLAGS: &[&str] = &["--smoke", "--threads", "--trace-out", "--health-out"];
+
+/// Runs `cells` (each case built by `build` at `words` words) on up to
+/// `threads` workers under `observe`: one sub-run per cell, named after
+/// the case. Outcomes, the merged recording and the incident report come
+/// back in grid order, identical for every thread count (cells are
+/// independent and self-seeded).
 #[must_use]
-pub fn run_campaign_parallel(words: u64, threads: usize) -> Vec<(String, CaseOutcome)> {
-    let cells = campaign_cells(words);
-    run_shards(threads, &cells, |_, &(scheme, family, seed)| {
-        let cfg = build_case(scheme, family, seed, words, HOPS);
-        (cfg.name.clone(), run_case(&cfg))
-    })
+pub fn run_cases(
+    cells: &[(Scheme, ScheduleFamily, u64)],
+    words: u64,
+    build: CaseBuilder,
+    threads: usize,
+    observe: &Observe,
+) -> (Vec<(String, CaseOutcome)>, Observation) {
+    observe.merge(run_shards(threads, cells, |_, &(scheme, family, seed)| {
+        let cfg = build(scheme, family, seed, words, HOPS);
+        observe.cell(|obs| {
+            let out = obs.run(&cfg.name, |sub| run_case_with(&cfg, sub.telemetry()));
+            (cfg.name.clone(), out)
+        })
+    }))
 }
 
 /// Runs the campaign *sequentially* with one shared telemetry handle —
 /// the overhead-gate hook (`bench --bin overhead` times every
 /// instrumentation site dispatching into a single sink, which is
 /// inherently a one-thread measurement). Parallel runs use
-/// [`run_campaign_traced`] instead; its merged recording matches this
-/// one's.
+/// [`run_cases`] instead; its merged recording matches this one's.
 #[must_use]
 pub fn run_campaign_with(words: u64, tel: Telemetry) -> Vec<(String, CaseOutcome)> {
     campaign_cells(words)
@@ -95,74 +103,6 @@ pub fn run_campaign_with(words: u64, tel: Telemetry) -> Vec<(String, CaseOutcome
             (name, run_case_with(&cfg, tel.clone()))
         })
         .collect()
-}
-
-/// [`run_campaign_parallel`] with telemetry: every cell records into a
-/// **private, shard-constructed** [`Recorder`] (the `Rc`-based
-/// [`Telemetry`] handles never cross threads), and the per-cell
-/// recordings are absorbed into one combined recorder in grid order at
-/// merge time. The combined recording — and the outcomes — are
-/// byte-identical for every thread count, and match what a sequential
-/// run sharing a single recorder would have produced.
-#[must_use]
-pub fn run_campaign_traced(words: u64, threads: usize) -> (Vec<(String, CaseOutcome)>, Recorder) {
-    let cells = campaign_cells(words);
-    let sharded = run_shards(threads, &cells, |_, &(scheme, family, seed)| {
-        let cfg = build_case(scheme, family, seed, words, HOPS);
-        let name = cfg.name.clone();
-        let rec = Rc::new(Recorder::new());
-        let out = run_case_with(&cfg, Telemetry::from_recorder(&rec));
-        // The run dropped every Telemetry clone with the sims, so the
-        // recorder has a single owner again and can cross back Send-ly.
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("run_case_with released every telemetry handle");
-        (name, out, rec)
-    });
-    let combined = Recorder::new();
-    let outcomes = sharded
-        .into_iter()
-        .map(|(name, out, rec)| {
-            combined.absorb(&rec);
-            (name, out)
-        })
-        .collect();
-    (outcomes, combined)
-}
-
-/// [`run_campaign_traced`] with the health monitor folded over every
-/// cell's private stream: one incident-report scope per cell, pushed in
-/// grid order, so the `socbus-incident v1` document is byte-identical
-/// for every thread count.
-#[must_use]
-pub fn run_campaign_health(
-    words: u64,
-    threads: usize,
-    health_cfg: &HealthConfig,
-) -> (Vec<(String, CaseOutcome)>, HealthReport, Recorder) {
-    let cells = campaign_cells(words);
-    let sharded = run_shards(threads, &cells, |_, &(scheme, family, seed)| {
-        let cfg = build_case(scheme, family, seed, words, HOPS);
-        let name = cfg.name.clone();
-        let rec = Rc::new(Recorder::new());
-        let out = run_case_with(&cfg, Telemetry::from_recorder(&rec));
-        let scope = HealthAggregator::scope_from_recorder(&name, health_cfg, &rec);
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("run_case_with released every telemetry handle");
-        (name, out, scope, rec)
-    });
-    let combined = Recorder::new();
-    let mut health = HealthReport::new();
-    let outcomes = sharded
-        .into_iter()
-        .map(|(name, out, scope, rec)| {
-            combined.absorb(&rec);
-            health.push_scope(scope);
-            (name, out)
-        })
-        .collect();
-    (outcomes, health, combined)
 }
 
 /// Renders the campaign JSON.
@@ -195,7 +135,7 @@ pub fn render_json(words: u64, outcomes: &[(String, CaseOutcome)]) -> String {
         let _ = write!(
             json,
             "\"cycles_per_word\": {}",
-            num(out.report.cycles_per_word())
+            sci(out.report.cycles_per_word())
         );
         json.push('}');
     }
@@ -239,144 +179,135 @@ pub fn render_json(words: u64, outcomes: &[(String, CaseOutcome)]) -> String {
 /// Returns the process exit code (nonzero iff any invariant violated).
 #[must_use]
 pub fn campaign_main(args: &[String]) -> i32 {
-    let mut smoke = false;
-    let mut threads = default_threads();
-    let mut trace_out: Option<String> = None;
-    let mut health_out: Option<String> = None;
-    let mut out_path = "results/BENCH_soak.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| parse_threads(v)) else {
-                    eprintln!("soak: --threads needs a positive integer");
-                    return 2;
-                };
-                threads = n;
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("soak: --trace-out needs a path");
-                    return 2;
-                };
-                trace_out = Some(path.clone());
-            }
-            "--health-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("soak: --health-out needs a path");
-                    return 2;
-                };
-                health_out = Some(path.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("soak: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
-        }
-    }
-    let words = if smoke { SMOKE_WORDS } else { FULL_WORDS };
-    let started = std::time::Instant::now();
-    let (outcomes, health, recorder) = if health_out.is_some() {
-        let (outcomes, health, rec) = run_campaign_health(words, threads, &HealthConfig::default());
-        (outcomes, Some(health), Some(rec))
-    } else if trace_out.is_some() {
-        let (outcomes, rec) = run_campaign_traced(words, threads);
-        (outcomes, None, Some(rec))
-    } else {
-        (run_campaign_parallel(words, threads), None, None)
+    case_campaign_main(
+        "soak",
+        args,
+        "results/BENCH_soak.json",
+        build_case,
+        |smoke| {
+            let words = if smoke { SMOKE_WORDS } else { FULL_WORDS };
+            (campaign_cells(words), words)
+        },
+    )
+}
+
+/// The body of [`campaign_main`] and [`control_main`]: `grid` picks the
+/// cells and words per case for `--smoke` or the full run.
+fn case_campaign_main(
+    bin: &str,
+    args: &[String],
+    default_out: &str,
+    build: CaseBuilder,
+    grid: fn(bool) -> (Vec<Cell>, u64),
+) -> i32 {
+    let Some(opts) = RunOpts::parse(bin, FLAGS, args) else {
+        return 2;
     };
+    let (cells, words) = grid(opts.smoke);
+    let observe = Observe::for_outputs(opts.trace_out.is_some(), opts.health_out.is_some());
+    let started = std::time::Instant::now();
+    let (outcomes, seen) = run_cases(&cells, words, build, opts.threads, &observe);
     let wall = started.elapsed();
     for (name, out) in &outcomes {
+        let control: usize = out.report.per_hop.iter().map(|h| h.control.len()).sum();
         eprintln!(
-            "{name:<26} latency {:>3}/{:<3}  e2e {:>4}  violations {}",
+            "{name:<30} latency {:>3}/{:<3}  e2e {:>4}  control {:>3}  violations {}",
             out.worst_word_cycles,
             out.budget_cycles,
             out.report.end_to_end_errors,
+            control,
             out.violations.len()
         );
     }
-    let json = render_json(words, &outcomes);
-    if let Some(dir) = Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write soak output");
-    if let (Some(path), Some(health)) = (&health_out, &health) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create health directory");
-            }
-        }
-        std::fs::write(path, health.serialize()).expect("write incident report");
-        let incidents: usize = health.scopes.iter().map(|s| s.incidents.len()).sum();
-        let alerts: usize = health.scopes.iter().map(|s| s.alerts.len()).sum();
-        eprintln!(
-            "soak: incidents -> {path} ({} scope(s), {incidents} incident(s), {alerts} alert(s))",
-            health.scopes.len()
-        );
-    }
-    if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create trace directory");
-            }
-        }
-        std::fs::write(path, rec.export_jsonl()).expect("write telemetry JSONL");
-        let perfetto = format!("{path}.trace.json");
-        let counters = health
-            .as_ref()
-            .map(HealthReport::counter_samples)
-            .unwrap_or_default();
-        std::fs::write(&perfetto, rec.export_chrome_trace_with_counters(&counters))
-            .expect("write Perfetto trace");
-        let stats = rec.ring_stats();
-        eprintln!(
-            "soak: telemetry -> {path} + {perfetto} ({} recorded, {} dropped)",
-            stats.recorded, stats.dropped
-        );
-        if let Some(warning) = stats.overflow_warning() {
-            eprintln!("soak: {warning}");
-        }
+    let out_path = opts.out_or(default_out);
+    if let Err(e) = seen.write_artefacts(
+        bin,
+        out_path,
+        &render_json(words, &outcomes),
+        opts.trace_out.as_deref(),
+        opts.health_out.as_deref(),
+        &mut std::io::stderr(),
+    ) {
+        eprintln!("{bin}: {e}");
+        return 2;
     }
     let violations: usize = outcomes.iter().map(|(_, out)| out.violations.len()).sum();
     eprintln!(
-        "soak: {} cases x {words} words on {threads} thread(s) in {:.2}s -> {out_path} ({violations} violation(s))",
+        "{bin}: {} cases x {words} words on {} thread(s) in {:.2}s -> {out_path} ({violations} violation(s))",
         outcomes.len(),
+        opts.threads,
         wall.as_secs_f64()
     );
     if violations == 0 {
         return 0;
     }
-    // Shrink the first violating cell to a reproducer for the artifact,
-    // then replay the shrunken case under telemetry so a Perfetto trace
-    // of the minimal failure lands next to it.
-    for ((scheme, family, seed), (name, out)) in campaign_cells(words).into_iter().zip(&outcomes) {
-        if let Some(v) = out.violations.first() {
-            eprintln!("soak: {name} violated: {}", v.detail);
-            let cfg = build_case(scheme, family, seed, words, HOPS);
-            match write_repro(&cfg, v, Path::new("results/repro")) {
-                Ok(file) => {
-                    eprintln!("soak: reproducer written to {}", file.display());
-                    let rec = Rc::new(Recorder::new());
-                    let replayed = std::fs::read_to_string(&file).ok().and_then(|text| {
-                        crate::cli::replay_text_with(&text, Telemetry::from_recorder(&rec)).ok()
-                    });
-                    if replayed.is_some() {
-                        let trace = format!("{}.trace.json", file.display());
-                        std::fs::write(&trace, rec.export_chrome_trace())
-                            .expect("write repro trace");
-                        eprintln!("soak: trace written to {trace}");
-                    }
-                }
-                Err(e) => eprintln!("soak: shrink failed: {e}"),
-            }
-            break;
-        }
+    let first = cells
+        .iter()
+        .zip(&outcomes)
+        .find_map(|(cell, (name, out))| Some((cell, name, out.violations.first()?)));
+    if let Some((&(scheme, family, seed), name, v)) = first {
+        let cfg = build(scheme, family, seed, words, HOPS);
+        write_reproducer(
+            bin,
+            name,
+            &v.detail,
+            |dir| write_repro(&cfg, v, dir),
+            |text, tel| replay_text_with(text, tel).is_ok(),
+            None,
+        );
     }
     1
+}
+
+/// The artefact tail of a campaign that found a violation: `shrink`
+/// writes the shrunken reproducer of the first violating cell under
+/// `results/repro/`, `replay` re-runs it under telemetry (false when the
+/// file does not parse), and a Perfetto trace of the replay — plus, given
+/// `health`, its incident report with one scope named `name` — lands
+/// next to it.
+pub(crate) fn write_reproducer(
+    bin: &str,
+    name: &str,
+    detail: &str,
+    shrink: impl FnOnce(&Path) -> Result<PathBuf, String>,
+    replay: impl FnOnce(&str, Telemetry) -> bool,
+    health: Option<&HealthConfig>,
+) {
+    eprintln!("{bin}: {name} violated: {detail}");
+    let file = match shrink(Path::new("results/repro")) {
+        Ok(file) => file,
+        Err(e) => {
+            eprintln!("{bin}: shrink failed: {e}");
+            return;
+        }
+    };
+    eprintln!("{bin}: reproducer written to {}", file.display());
+    let rec = Rc::new(Recorder::new());
+    let replayed = std::fs::read_to_string(&file)
+        .is_ok_and(|text| replay(&text, Telemetry::from_recorder(&rec)));
+    if !replayed {
+        return;
+    }
+    let mut written = vec![(
+        "trace",
+        format!("{}.trace.json", file.display()),
+        rec.export_chrome_trace(),
+    )];
+    if let Some(cfg) = health {
+        let mut report = HealthReport::new();
+        report.push_scope(HealthAggregator::scope_from_recorder(name, cfg, &rec));
+        written.push((
+            "incident report",
+            format!("{}.health.json", file.display()),
+            report.serialize(),
+        ));
+    }
+    for (what, path, contents) in written {
+        match write_output(&path, &contents) {
+            Ok(()) => eprintln!("{bin}: {what} written to {path}"),
+            Err(e) => eprintln!("{bin}: {e}"),
+        }
+    }
 }
 
 /// The closed-loop controller campaign grid: every detecting scheme in
@@ -413,234 +344,25 @@ pub fn control_smoke_cells() -> Vec<(Scheme, ScheduleFamily, u64)> {
         .collect()
 }
 
-/// Runs the controller campaign over an explicit cell list on up to
-/// `threads` workers; outcomes merge in grid order, so the rendered
-/// JSON is byte-identical for every thread count.
-#[must_use]
-pub fn run_control_parallel(
-    cells: &[(Scheme, ScheduleFamily, u64)],
-    words: u64,
-    threads: usize,
-) -> Vec<(String, CaseOutcome)> {
-    run_shards(threads, cells, |_, &(scheme, family, seed)| {
-        let cfg = build_control_case(scheme, family, seed, words, HOPS);
-        (cfg.name.clone(), run_case(&cfg))
-    })
-}
-
-/// [`run_control_parallel`] with per-cell private recorders merged in
-/// grid order (same discipline as [`run_campaign_traced`]).
-#[must_use]
-pub fn run_control_traced(
-    cells: &[(Scheme, ScheduleFamily, u64)],
-    words: u64,
-    threads: usize,
-) -> (Vec<(String, CaseOutcome)>, Recorder) {
-    let sharded = run_shards(threads, cells, |_, &(scheme, family, seed)| {
-        let cfg = build_control_case(scheme, family, seed, words, HOPS);
-        let name = cfg.name.clone();
-        let rec = Rc::new(Recorder::new());
-        let out = run_case_with(&cfg, Telemetry::from_recorder(&rec));
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("run_case_with released every telemetry handle");
-        (name, out, rec)
-    });
-    let combined = Recorder::new();
-    let outcomes = sharded
-        .into_iter()
-        .map(|(name, out, rec)| {
-            combined.absorb(&rec);
-            (name, out)
-        })
-        .collect();
-    (outcomes, combined)
-}
-
-/// [`run_control_traced`] with per-cell health scopes (same discipline
-/// as [`run_campaign_health`]).
-#[must_use]
-pub fn run_control_health(
-    cells: &[(Scheme, ScheduleFamily, u64)],
-    words: u64,
-    threads: usize,
-    health_cfg: &HealthConfig,
-) -> (Vec<(String, CaseOutcome)>, HealthReport, Recorder) {
-    let sharded = run_shards(threads, cells, |_, &(scheme, family, seed)| {
-        let cfg = build_control_case(scheme, family, seed, words, HOPS);
-        let name = cfg.name.clone();
-        let rec = Rc::new(Recorder::new());
-        let out = run_case_with(&cfg, Telemetry::from_recorder(&rec));
-        let scope = HealthAggregator::scope_from_recorder(&name, health_cfg, &rec);
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("run_case_with released every telemetry handle");
-        (name, out, scope, rec)
-    });
-    let combined = Recorder::new();
-    let mut health = HealthReport::new();
-    let outcomes = sharded
-        .into_iter()
-        .map(|(name, out, scope, rec)| {
-            combined.absorb(&rec);
-            health.push_scope(scope);
-            (name, out)
-        })
-        .collect();
-    (outcomes, health, combined)
-}
-
 /// The controller campaign entry point behind `chaos control`.
 /// Args: `[--smoke] [--threads N] [--trace-out <path>]
 /// [--health-out <path>] [out_path]`.
 /// Returns the process exit code (nonzero iff any invariant violated).
 #[must_use]
 pub fn control_main(args: &[String]) -> i32 {
-    let mut smoke = false;
-    let mut threads = default_threads();
-    let mut trace_out: Option<String> = None;
-    let mut health_out: Option<String> = None;
-    let mut out_path = "results/BENCH_control.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| parse_threads(v)) else {
-                    eprintln!("chaos control: --threads needs a positive integer");
-                    return 2;
-                };
-                threads = n;
+    case_campaign_main(
+        "chaos control",
+        args,
+        "results/BENCH_control.json",
+        build_control_case,
+        |smoke| {
+            if smoke {
+                (control_smoke_cells(), SMOKE_WORDS)
+            } else {
+                (control_cells(), FULL_WORDS)
             }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("chaos control: --trace-out needs a path");
-                    return 2;
-                };
-                trace_out = Some(path.clone());
-            }
-            "--health-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("chaos control: --health-out needs a path");
-                    return 2;
-                };
-                health_out = Some(path.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("chaos control: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
-        }
-    }
-    let (cells, words) = if smoke {
-        (control_smoke_cells(), SMOKE_WORDS)
-    } else {
-        (control_cells(), FULL_WORDS)
-    };
-    let started = std::time::Instant::now();
-    let (outcomes, health, recorder) = if health_out.is_some() {
-        let (outcomes, health, rec) =
-            run_control_health(&cells, words, threads, &HealthConfig::default());
-        (outcomes, Some(health), Some(rec))
-    } else if trace_out.is_some() {
-        let (outcomes, rec) = run_control_traced(&cells, words, threads);
-        (outcomes, None, Some(rec))
-    } else {
-        (run_control_parallel(&cells, words, threads), None, None)
-    };
-    let wall = started.elapsed();
-    for (name, out) in &outcomes {
-        let control: usize = out.report.per_hop.iter().map(|h| h.control.len()).sum();
-        eprintln!(
-            "{name:<30} latency {:>3}/{:<3}  e2e {:>4}  control {:>3}  violations {}",
-            out.worst_word_cycles,
-            out.budget_cycles,
-            out.report.end_to_end_errors,
-            control,
-            out.violations.len()
-        );
-    }
-    let json = render_json(words, &outcomes);
-    if let Some(dir) = Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write control output");
-    if let (Some(path), Some(health)) = (&health_out, &health) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create health directory");
-            }
-        }
-        std::fs::write(path, health.serialize()).expect("write incident report");
-        let incidents: usize = health.scopes.iter().map(|s| s.incidents.len()).sum();
-        let alerts: usize = health.scopes.iter().map(|s| s.alerts.len()).sum();
-        eprintln!(
-            "chaos control: incidents -> {path} ({} scope(s), {incidents} incident(s), \
-             {alerts} alert(s))",
-            health.scopes.len()
-        );
-    }
-    if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
-        if let Some(dir) = Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create trace directory");
-            }
-        }
-        std::fs::write(path, rec.export_jsonl()).expect("write telemetry JSONL");
-        let perfetto = format!("{path}.trace.json");
-        let counters = health
-            .as_ref()
-            .map(HealthReport::counter_samples)
-            .unwrap_or_default();
-        std::fs::write(&perfetto, rec.export_chrome_trace_with_counters(&counters))
-            .expect("write Perfetto trace");
-        let stats = rec.ring_stats();
-        eprintln!(
-            "chaos control: telemetry -> {path} + {perfetto} ({} recorded, {} dropped)",
-            stats.recorded, stats.dropped
-        );
-        if let Some(warning) = stats.overflow_warning() {
-            eprintln!("chaos control: {warning}");
-        }
-    }
-    let violations: usize = outcomes.iter().map(|(_, out)| out.violations.len()).sum();
-    eprintln!(
-        "chaos control: {} cases x {words} words on {threads} thread(s) in {:.2}s -> {out_path} ({violations} violation(s))",
-        outcomes.len(),
-        wall.as_secs_f64()
-    );
-    if violations == 0 {
-        return 0;
-    }
-    // Same artifact discipline as the soak campaign: shrink the first
-    // violating cell to a reproducer, then replay it under telemetry.
-    for (&(scheme, family, seed), (name, out)) in cells.iter().zip(&outcomes) {
-        if let Some(v) = out.violations.first() {
-            eprintln!("chaos control: {name} violated: {}", v.detail);
-            let cfg = build_control_case(scheme, family, seed, words, HOPS);
-            match write_repro(&cfg, v, Path::new("results/repro")) {
-                Ok(file) => {
-                    eprintln!("chaos control: reproducer written to {}", file.display());
-                    let rec = Rc::new(Recorder::new());
-                    let replayed = std::fs::read_to_string(&file).ok().and_then(|text| {
-                        crate::cli::replay_text_with(&text, Telemetry::from_recorder(&rec)).ok()
-                    });
-                    if replayed.is_some() {
-                        let trace = format!("{}.trace.json", file.display());
-                        std::fs::write(&trace, rec.export_chrome_trace())
-                            .expect("write repro trace");
-                        eprintln!("chaos control: trace written to {trace}");
-                    }
-                }
-                Err(e) => eprintln!("chaos control: shrink failed: {e}"),
-            }
-            break;
-        }
-    }
-    1
+        },
+    )
 }
 
 #[cfg(test)]
@@ -657,25 +379,36 @@ mod tests {
         assert_send::<(String, CaseOutcome)>();
     }
 
+    fn soak(threads: usize, observe: &Observe) -> (Vec<(String, CaseOutcome)>, Observation) {
+        let cells = campaign_cells(SMOKE_WORDS);
+        run_cases(&cells, SMOKE_WORDS, build_case, threads, observe)
+    }
+
     /// The tentpole property at campaign level: outcomes and rendered
-    /// JSON are identical across thread counts.
+    /// JSON are identical across runs and thread counts, and the smoke
+    /// campaign is clean — the exact properties the CI soak job
+    /// re-checks with real runs.
     #[test]
     fn campaign_json_is_thread_count_invariant() {
-        let one = run_campaign_parallel(SMOKE_WORDS, 1);
-        let many = run_campaign_parallel(SMOKE_WORDS, 8);
+        let (one, _) = soak(1, &Observe::Off);
+        let (many, _) = soak(8, &Observe::Off);
         assert_eq!(
             render_json(SMOKE_WORDS, &one),
             render_json(SMOKE_WORDS, &many)
         );
+        let first = one.iter().find_map(|(_, out)| out.violations.first());
+        assert!(first.is_none(), "first violation: {first:?}");
     }
 
     /// Traced campaign: identical outcomes, and the merged recording is
     /// itself thread-count invariant (export byte-compare).
     #[test]
     fn traced_campaign_is_thread_count_invariant_and_matches_untraced() {
-        let plain = run_campaign_parallel(SMOKE_WORDS, 2);
-        let (traced_one, rec_one) = run_campaign_traced(SMOKE_WORDS, 1);
-        let (traced_many, rec_many) = run_campaign_traced(SMOKE_WORDS, 8);
+        let (plain, _) = soak(2, &Observe::Off);
+        let (traced_one, seen_one) = soak(1, &Observe::Trace);
+        let (traced_many, seen_many) = soak(8, &Observe::Trace);
+        let rec_one = seen_one.recorder.expect("traced");
+        let rec_many = seen_many.recorder.expect("traced");
         for ((pn, po), (tn, to)) in plain.iter().zip(&traced_one) {
             assert_eq!(pn, tn);
             assert_eq!(po.report, to.report, "{pn}: telemetry must not perturb");
@@ -705,8 +438,8 @@ mod tests {
     fn control_campaign_is_thread_count_invariant_and_safe() {
         let cells = control_smoke_cells();
         assert_eq!(cells.len(), ScheduleFamily::all().len());
-        let one = run_control_parallel(&cells, SMOKE_WORDS, 1);
-        let many = run_control_parallel(&cells, SMOKE_WORDS, 8);
+        let (one, _) = run_cases(&cells, SMOKE_WORDS, build_control_case, 1, &Observe::Off);
+        let (many, _) = run_cases(&cells, SMOKE_WORDS, build_control_case, 8, &Observe::Off);
         assert_eq!(
             render_json(SMOKE_WORDS, &one),
             render_json(SMOKE_WORDS, &many)
@@ -752,5 +485,10 @@ mod tests {
             cells.len(),
             Scheme::catalog().len() * ScheduleFamily::all().len()
         );
+        // Seeds are unique, so no two cells share a schedule stream.
+        let mut seeds: Vec<u64> = cells.iter().map(|&(_, _, s)| s).collect();
+        seeds.sort_unstable();
+        seeds.dedup();
+        assert_eq!(seeds.len(), cells.len());
     }
 }

@@ -34,21 +34,20 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
-use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use socbus_channel::FaultSpec;
 use socbus_codes::{DecodeStatus, Scheme};
-use socbus_exec::{default_threads, parse_threads, run_shards};
+use socbus_exec::{run_shards, RunOpts};
 use socbus_noc::link::{LinkConfig, Protocol};
 use socbus_noc::mesh::{
     CycleReport, EndToEnd, MeshConfig, MeshPattern, MeshReport, MeshSim, PacketKey,
 };
-use socbus_telemetry::{
-    HealthAggregator, HealthConfig, HealthReport, Recorder, ScopeReport, Telemetry,
-};
+use socbus_telemetry::json::sci;
+use socbus_telemetry::{HealthConfig, Observation, Observe, ScopeReport, SubRun, Telemetry};
 
+use crate::campaign::write_reproducer;
 use crate::cli::{protocol_for, DEFAULT_DATA_BITS, SHRINK_BUDGET};
 use crate::monitor::InvariantStats;
 use crate::replay::{kv, parse_f64, parse_num, parse_protocol, parse_spec, spec_str};
@@ -1050,29 +1049,21 @@ pub fn run_mesh_case_with(cfg: &MeshCaseConfig, tel: Telemetry) -> MeshCaseOutco
     finish_outcome(monitor, report)
 }
 
-/// Runs one mesh case under a private recorder, folds the recorder's
-/// stream through the health aggregator, and cross-checks the health
-/// verdicts against the monitor's ledger (the **health-consistent**
-/// invariant). Returns the outcome, the case's incident-report scope
-/// (named after the case), and the recorder for trace export.
+/// Runs one mesh case as an observed sub-run. Under health
+/// observation the sub-run's stream folds through the health aggregator
+/// and the monitor cross-checks the health verdicts against its ledger
+/// (the **health-consistent** invariant).
 #[must_use]
-pub fn run_mesh_case_health(
-    cfg: &MeshCaseConfig,
-    health_cfg: &HealthConfig,
-) -> (MeshCaseOutcome, ScopeReport, Recorder) {
-    let rec = Rc::new(Recorder::new());
-    let (mut monitor, report) = drive_mesh_case(cfg, Telemetry::from_recorder(&rec));
+pub fn run_mesh_case_observed(cfg: &MeshCaseConfig, sub: &mut SubRun<'_>) -> MeshCaseOutcome {
+    let (mut monitor, report) = drive_mesh_case(cfg, sub.telemetry());
     // The health pass reads the recorder *before* the agreement check
     // runs, so the scope reflects exactly what the run emitted; the
     // agreement check's own monitor.* counters land after the snapshot.
-    let scope = HealthAggregator::scope_from_recorder(&cfg.name, health_cfg, &rec);
-    monitor.check_health_agreement(&scope);
-    monitor.flush_telemetry();
-    let outcome = finish_outcome(monitor, report);
-    let rec = Rc::try_unwrap(rec)
-        .ok()
-        .expect("drive_mesh_case released every telemetry handle");
-    (outcome, scope, rec)
+    if let Some(scope) = sub.health_scope() {
+        monitor.check_health_agreement(scope);
+        monitor.flush_telemetry();
+    }
+    finish_outcome(monitor, report)
 }
 
 /// Whether `cfg` produces at least one violation with the given key —
@@ -1524,16 +1515,6 @@ pub fn replay_mesh_text_with(text: &str, tel: Telemetry) -> Result<Option<MeshVi
 // The campaign
 // ---------------------------------------------------------------------
 
-/// Formats an `f64` for the JSON output (same convention as the soak
-/// campaign: fixed-precision exponential, deterministic).
-fn num(x: f64) -> String {
-    if x == 0.0 {
-        "0.0".to_owned()
-    } else {
-        format!("{x:.6e}")
-    }
-}
-
 /// The static shard list: one mesh cell per (scheme, family) grid
 /// position, seeded deterministically from that position.
 #[must_use]
@@ -1608,82 +1589,26 @@ pub fn build_mesh_case(
     }
 }
 
-/// Runs the mesh campaign over an explicit cell list on up to `threads`
-/// workers; outcomes merge in grid order, so the rendered JSON is
-/// byte-identical for every thread count.
+/// Runs the mesh campaign over `cells` on up to `threads` workers under
+/// `observe`, one sub-run per cell named after the case. Under
+/// [`Observe::Health`] every cell's stream folds into its own
+/// incident-report scope and the health-consistent invariant is checked
+/// cell by cell. Outcomes, the merged recording and the incident report
+/// come back in grid order, byte-identical for every thread count.
 #[must_use]
-pub fn run_mesh_campaign_parallel(
+pub fn run_mesh_campaign(
     cells: &[(Scheme, MeshFamily, u64)],
     cycles: u64,
     threads: usize,
-) -> Vec<(String, MeshCaseOutcome)> {
-    run_shards(threads, cells, |_, &(scheme, family, seed)| {
+    observe: &Observe,
+) -> (Vec<(String, MeshCaseOutcome)>, Observation) {
+    observe.merge(run_shards(threads, cells, |_, &(scheme, family, seed)| {
         let cfg = build_mesh_case(scheme, family, seed, cycles);
-        (cfg.name.clone(), run_mesh_case(&cfg))
-    })
-}
-
-/// [`run_mesh_campaign_parallel`] with per-cell private recorders
-/// merged in grid order (same discipline as the soak campaign's traced
-/// runner).
-#[must_use]
-pub fn run_mesh_campaign_traced(
-    cells: &[(Scheme, MeshFamily, u64)],
-    cycles: u64,
-    threads: usize,
-) -> (Vec<(String, MeshCaseOutcome)>, Recorder) {
-    let sharded = run_shards(threads, cells, |_, &(scheme, family, seed)| {
-        let cfg = build_mesh_case(scheme, family, seed, cycles);
-        let name = cfg.name.clone();
-        let rec = Rc::new(Recorder::new());
-        let out = run_mesh_case_with(&cfg, Telemetry::from_recorder(&rec));
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("run_mesh_case_with released every telemetry handle");
-        (name, out, rec)
-    });
-    let combined = Recorder::new();
-    let outcomes = sharded
-        .into_iter()
-        .map(|(name, out, rec)| {
-            combined.absorb(&rec);
-            (name, out)
+        observe.cell(|obs| {
+            let out = obs.run(&cfg.name, |sub| run_mesh_case_observed(&cfg, sub));
+            (cfg.name.clone(), out)
         })
-        .collect();
-    (outcomes, combined)
-}
-
-/// [`run_mesh_campaign_traced`] with the health monitor in the loop:
-/// every cell runs under its own recorder, its stream folds through the
-/// health aggregator into one incident-report scope per cell, and the
-/// health-consistent invariant is checked cell by cell. Scopes are
-/// pushed and recorders absorbed in grid order, so both the incident
-/// report and the merged recorder are byte-identical for every thread
-/// count.
-#[must_use]
-pub fn run_mesh_campaign_health(
-    cells: &[(Scheme, MeshFamily, u64)],
-    cycles: u64,
-    threads: usize,
-    health_cfg: &HealthConfig,
-) -> (Vec<(String, MeshCaseOutcome)>, HealthReport, Recorder) {
-    let sharded = run_shards(threads, cells, |_, &(scheme, family, seed)| {
-        let cfg = build_mesh_case(scheme, family, seed, cycles);
-        let name = cfg.name.clone();
-        let (out, scope, rec) = run_mesh_case_health(&cfg, health_cfg);
-        (name, out, scope, rec)
-    });
-    let combined = Recorder::new();
-    let mut health = HealthReport::new();
-    let outcomes = sharded
-        .into_iter()
-        .map(|(name, out, scope, rec)| {
-            combined.absorb(&rec);
-            health.push_scope(scope);
-            (name, out)
-        })
-        .collect();
-    (outcomes, health, combined)
+    }))
 }
 
 /// Renders the mesh campaign JSON.
@@ -1719,7 +1644,7 @@ pub fn render_mesh_json(cycles: u64, outcomes: &[(String, MeshCaseOutcome)]) -> 
             out.report.dropped_poisoned
         );
         let _ = write!(json, "\"links_down\": {}, ", out.report.links_down);
-        let _ = write!(json, "\"throughput\": {}, ", num(out.report.throughput()));
+        let _ = write!(json, "\"throughput\": {}, ", sci(out.report.throughput()));
         let _ = write!(
             json,
             "\"p50_latency\": {}, ",
@@ -1760,15 +1685,6 @@ pub fn render_mesh_json(cycles: u64, outcomes: &[(String, MeshCaseOutcome)]) -> 
     json
 }
 
-/// Creates the parent directory of `path` if it has one.
-fn ensure_parent(path: &str) {
-    if let Some(dir) = Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-}
-
 /// The mesh campaign entry point behind `chaos mesh`. Every cell runs
 /// under the health monitor, so the campaign always produces an
 /// incident timeline and always checks the health-consistent invariant.
@@ -1777,54 +1693,22 @@ fn ensure_parent(path: &str) {
 /// Returns the process exit code (nonzero iff any invariant violated).
 #[must_use]
 pub fn mesh_main(args: &[String]) -> i32 {
-    let mut smoke = false;
-    let mut threads = default_threads();
-    let mut trace_out: Option<String> = None;
-    let mut health_out = "results/BENCH_mesh_chaos.health.json".to_owned();
-    let mut out_path = "results/BENCH_mesh_chaos.json".to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--threads" => {
-                let Some(n) = it.next().and_then(|v| parse_threads(v)) else {
-                    eprintln!("chaos mesh: --threads needs a positive integer");
-                    return 2;
-                };
-                threads = n;
-            }
-            "--trace-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("chaos mesh: --trace-out needs a path");
-                    return 2;
-                };
-                trace_out = Some(path.clone());
-            }
-            "--health-out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("chaos mesh: --health-out needs a path");
-                    return 2;
-                };
-                health_out = path.clone();
-            }
-            other if other.starts_with("--") => {
-                eprintln!("chaos mesh: unknown flag {other}");
-                return 2;
-            }
-            other => out_path = other.to_owned(),
-        }
-    }
-    let (cells, cycles) = if smoke {
+    const BIN: &str = "chaos mesh";
+    let Some(opts) = RunOpts::parse(BIN, crate::campaign::FLAGS, args) else {
+        return 2;
+    };
+    let (cells, cycles) = if opts.smoke {
         (mesh_smoke_cells(), SMOKE_MESH_CYCLES)
     } else {
         (mesh_cells(), FULL_MESH_CYCLES)
     };
     let health_cfg = HealthConfig::default();
+    let observe = Observe::Health(health_cfg.clone());
     let started = std::time::Instant::now();
-    let (outcomes, health, recorder) =
-        run_mesh_campaign_health(&cells, cycles, threads, &health_cfg);
+    let (outcomes, seen) = run_mesh_campaign(&cells, cycles, opts.threads, &observe);
     let wall = started.elapsed();
-    for ((name, out), scope) in outcomes.iter().zip(&health.scopes) {
+    let scopes = &seen.health.as_ref().expect("health observation").scopes;
+    for ((name, out), scope) in outcomes.iter().zip(scopes) {
         eprintln!(
             "{name:<26} injected {:>4}  delivered {:>4}  lost {:>2}  retx {:>4}  \
              incidents {}  violations {}",
@@ -1836,82 +1720,45 @@ pub fn mesh_main(args: &[String]) -> i32 {
             out.violations.len()
         );
     }
-    let json = render_mesh_json(cycles, &outcomes);
-    ensure_parent(&out_path);
-    std::fs::write(&out_path, &json).expect("write mesh campaign output");
-    ensure_parent(&health_out);
-    std::fs::write(&health_out, health.serialize()).expect("write incident report");
-    let incidents: usize = health.scopes.iter().map(|s| s.incidents.len()).sum();
-    let alerts: usize = health.scopes.iter().map(|s| s.alerts.len()).sum();
-    eprintln!(
-        "chaos mesh: incidents -> {health_out} ({} scope(s), {incidents} incident(s), \
-         {alerts} alert(s))",
-        health.scopes.len()
-    );
-    if let Some(path) = &trace_out {
-        ensure_parent(path);
-        std::fs::write(path, recorder.export_jsonl()).expect("write telemetry JSONL");
-        let perfetto = format!("{path}.trace.json");
-        // Health scores and budget burn ride along as counter tracks.
-        std::fs::write(
-            &perfetto,
-            recorder.export_chrome_trace_with_counters(&health.counter_samples()),
-        )
-        .expect("write Perfetto trace");
-        let stats = recorder.ring_stats();
-        eprintln!(
-            "chaos mesh: telemetry -> {path} + {perfetto} ({} recorded, {} dropped)",
-            stats.recorded, stats.dropped
-        );
-        if let Some(warning) = stats.overflow_warning() {
-            eprintln!("chaos mesh: {warning}");
-        }
+    let out_path = opts.out_or("results/BENCH_mesh_chaos.json");
+    // The incident report is always written: every cell runs under the
+    // health monitor.
+    let health_out = opts.health_out.as_deref();
+    if let Err(e) = seen.write_artefacts(
+        BIN,
+        out_path,
+        &render_mesh_json(cycles, &outcomes),
+        opts.trace_out.as_deref(),
+        Some(health_out.unwrap_or("results/BENCH_mesh_chaos.health.json")),
+        &mut std::io::stderr(),
+    ) {
+        eprintln!("{BIN}: {e}");
+        return 2;
     }
     let violations: usize = outcomes.iter().map(|(_, out)| out.violations.len()).sum();
     eprintln!(
-        "chaos mesh: {} cases x {cycles} cycles on {threads} thread(s) in {:.2}s -> {out_path} ({violations} violation(s))",
+        "{BIN}: {} cases x {cycles} cycles on {} thread(s) in {:.2}s -> {out_path} ({violations} violation(s))",
         outcomes.len(),
+        opts.threads,
         wall.as_secs_f64()
     );
     if violations == 0 {
         return 0;
     }
-    // Same artifact discipline as the soak campaign: shrink the first
-    // violating cell to a reproducer, then replay it under telemetry so
-    // a Perfetto trace and an incident report of the minimal failure
-    // land next to it.
-    for (&(scheme, family, seed), (name, out)) in cells.iter().zip(&outcomes) {
-        if let Some(v) = out.violations.first() {
-            eprintln!("chaos mesh: {name} violated: {}", v.detail);
-            let cfg = build_mesh_case(scheme, family, seed, cycles);
-            match write_mesh_repro(&cfg, v, Path::new("results/repro")) {
-                Ok(file) => {
-                    eprintln!("chaos mesh: reproducer written to {}", file.display());
-                    let rec = Rc::new(Recorder::new());
-                    let replayed = std::fs::read_to_string(&file).ok().and_then(|text| {
-                        replay_mesh_text_with(&text, Telemetry::from_recorder(&rec)).ok()
-                    });
-                    if replayed.is_some() {
-                        let trace = format!("{}.trace.json", file.display());
-                        std::fs::write(&trace, rec.export_chrome_trace())
-                            .expect("write repro trace");
-                        eprintln!("chaos mesh: trace written to {trace}");
-                        let mut repro_health = HealthReport::new();
-                        repro_health.push_scope(HealthAggregator::scope_from_recorder(
-                            name,
-                            &health_cfg,
-                            &rec,
-                        ));
-                        let health_path = format!("{}.health.json", file.display());
-                        std::fs::write(&health_path, repro_health.serialize())
-                            .expect("write repro incident report");
-                        eprintln!("chaos mesh: incident report written to {health_path}");
-                    }
-                }
-                Err(e) => eprintln!("chaos mesh: shrink failed: {e}"),
-            }
-            break;
-        }
+    let first = cells
+        .iter()
+        .zip(&outcomes)
+        .find_map(|(cell, (name, out))| Some((cell, name, out.violations.first()?)));
+    if let Some((&(scheme, family, seed), name, v)) = first {
+        let cfg = build_mesh_case(scheme, family, seed, cycles);
+        write_reproducer(
+            BIN,
+            name,
+            &v.detail,
+            |dir| write_mesh_repro(&cfg, v, dir),
+            |text, tel| replay_mesh_text_with(text, tel).is_ok(),
+            Some(&health_cfg),
+        );
     }
     1
 }
@@ -2064,7 +1911,11 @@ mod tests {
                 },
             }],
         };
-        let (out, scope, _rec) = run_mesh_case_health(&cfg, &HealthConfig::default());
+        let observe = Observe::Health(HealthConfig::default());
+        let cell = observe.cell(|obs| obs.run("t", |sub| run_mesh_case_observed(&cfg, sub)));
+        let (outs, seen) = observe.merge(vec![cell]);
+        let out = &outs[0];
+        let scope = &seen.health.expect("health observation").scopes[0];
         assert!(out.report.links_down >= 1, "the storm must retire link 0");
         let hc = out
             .stats
@@ -2128,10 +1979,12 @@ mod tests {
     #[test]
     fn mesh_health_campaign_is_thread_count_invariant() {
         let cells: Vec<_> = mesh_smoke_cells().into_iter().take(2).collect();
-        let cfg = HealthConfig::default();
-        let (o1, h1, r1) = run_mesh_campaign_health(&cells, 40, 1, &cfg);
-        let (o8, h8, r8) = run_mesh_campaign_health(&cells, 40, 8, &cfg);
+        let observe = Observe::Health(HealthConfig::default());
+        let (o1, s1) = run_mesh_campaign(&cells, 40, 1, &observe);
+        let (o8, s8) = run_mesh_campaign(&cells, 40, 8, &observe);
+        let (h1, h8) = (s1.health.expect("health"), s8.health.expect("health"));
         assert_eq!(h1.serialize(), h8.serialize());
+        let (r1, r8) = (s1.recorder.expect("traced"), s8.recorder.expect("traced"));
         assert_eq!(r1.export_jsonl(), r8.export_jsonl());
         assert_eq!(render_mesh_json(40, &o1), render_mesh_json(40, &o8));
     }
@@ -2139,8 +1992,8 @@ mod tests {
     #[test]
     fn mesh_campaign_json_is_thread_count_invariant() {
         let cells: Vec<_> = mesh_smoke_cells().into_iter().take(2).collect();
-        let one = run_mesh_campaign_parallel(&cells, 40, 1);
-        let many = run_mesh_campaign_parallel(&cells, 40, 8);
+        let (one, _) = run_mesh_campaign(&cells, 40, 1, &Observe::Off);
+        let (many, _) = run_mesh_campaign(&cells, 40, 8, &Observe::Off);
         assert_eq!(render_mesh_json(40, &one), render_mesh_json(40, &many));
     }
 

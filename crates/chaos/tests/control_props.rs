@@ -9,12 +9,12 @@ use proptest::prelude::*;
 use socbus_chaos::runner::CaseOutcome;
 use socbus_chaos::schedule::ScheduleFamily;
 use socbus_chaos::{
-    build_case, build_control_case, control_policy_for, run_case, run_control_parallel,
-    InvariantKind,
+    build_case, build_control_case, control_policy_for, run_case, run_cases, InvariantKind,
 };
 use socbus_codes::Scheme;
 use socbus_noc::link::Protocol;
 use socbus_noc::{ControlCause, ControlPolicy};
+use socbus_telemetry::Observe;
 
 /// Flattens one outcome's controller activity into a comparable decision
 /// trace: for every hop and transition, the word it fired at, the cause,
@@ -62,8 +62,8 @@ proptest! {
             .into_iter()
             .map(|family| (scheme, family, seed))
             .collect();
-        let one = run_control_parallel(&cells, 800, 1);
-        let eight = run_control_parallel(&cells, 800, 8);
+        let (one, _) = run_cases(&cells, 800, build_control_case, 1, &Observe::Off);
+        let (eight, _) = run_cases(&cells, 800, build_control_case, 8, &Observe::Off);
         prop_assert_eq!(one.len(), eight.len());
         let mut moved = 0usize;
         for ((name1, out1), (name8, out8)) in one.iter().zip(eight.iter()) {

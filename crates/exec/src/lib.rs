@@ -23,6 +23,10 @@
 //! worker closure borrows the shard list, and all results are moved back
 //! to the caller before [`run_shards`] returns.
 //!
+//! [`RunOpts`] is the one command-line parser the sharded entry points
+//! share (`--smoke`, `--threads N`, `--trace-out`, `--health-out`, an
+//! output path), so every bin rejects a bad flag the same way.
+//!
 //! # Example
 //!
 //! ```
@@ -79,6 +83,87 @@ pub fn parse_threads(s: &str) -> Option<usize> {
     match s.parse::<usize>() {
         Ok(n) if n >= 1 => Some(n),
         _ => None,
+    }
+}
+
+/// A parsed entry-point command line. Every bin declares the flags it
+/// accepts in one list, e.g. `&["--smoke", "--threads", "--trace-out"]`;
+/// anything else is rejected as unknown. `--smoke` is a switch, every
+/// other flag takes one value: `--threads N` (default
+/// [`default_threads`]), `--trace-out <path>`, `--health-out <path>`, and
+/// bin-specific flags read back with [`RunOpts::value`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct RunOpts {
+    /// `--smoke` was given.
+    pub smoke: bool,
+    /// The worker count.
+    pub threads: usize,
+    /// The `--trace-out` path.
+    pub trace_out: Option<String>,
+    /// The `--health-out` path.
+    pub health_out: Option<String>,
+    /// The last positional argument (the output path).
+    pub out: Option<String>,
+    values: Vec<(String, String)>,
+}
+
+impl RunOpts {
+    /// Parses `args` against the `accepted` flags. On a malformed or
+    /// unaccepted flag prints `{bin}: <reason>` to stderr and returns
+    /// `None`; the caller exits 2 before any work runs.
+    #[must_use]
+    pub fn parse(bin: &str, accepted: &[&str], args: &[String]) -> Option<RunOpts> {
+        Self::try_parse(accepted, args)
+            .map_err(|e| eprintln!("{bin}: {e}"))
+            .ok()
+    }
+
+    fn try_parse(accepted: &[&str], args: &[String]) -> Result<RunOpts, String> {
+        let mut opts = RunOpts {
+            smoke: false,
+            threads: default_threads(),
+            trace_out: None,
+            health_out: None,
+            out: None,
+            values: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let mut value = || {
+                it.next()
+                    .cloned()
+                    .ok_or_else(|| format!("{arg} needs a value"))
+            };
+            match arg.as_str() {
+                path if !path.starts_with("--") => opts.out = Some(path.to_owned()),
+                flag if !accepted.contains(&flag) => return Err(format!("unknown flag {flag}")),
+                "--smoke" => opts.smoke = true,
+                "--threads" => {
+                    opts.threads =
+                        parse_threads(&value()?).ok_or("--threads needs a positive integer")?;
+                }
+                "--trace-out" => opts.trace_out = Some(value()?),
+                "--health-out" => opts.health_out = Some(value()?),
+                flag => opts.values.push((flag.to_owned(), value()?)),
+            }
+        }
+        Ok(opts)
+    }
+
+    /// The output path, or `default` when none was given.
+    #[must_use]
+    pub fn out_or<'a>(&'a self, default: &'a str) -> &'a str {
+        self.out.as_deref().unwrap_or(default)
+    }
+
+    /// The last value given for the bin-specific flag `flag`.
+    #[must_use]
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(name, _)| name == flag)
+            .map(|(_, v)| v.as_str())
     }
 }
 
@@ -209,6 +294,35 @@ mod tests {
         assert_eq!(parse_threads("0"), None);
         assert_eq!(parse_threads("-2"), None);
         assert_eq!(parse_threads("many"), None);
+    }
+
+    #[test]
+    fn run_opts_parse_only_the_declared_flags() {
+        let args = |a: &[&str]| a.iter().map(|&s| s.to_owned()).collect::<Vec<_>>();
+        let accepts = &["--threads", "--trace-out", "--gate"];
+        let opts = RunOpts::parse(
+            "t",
+            accepts,
+            &args(&["a", "--threads", "2", "--gate", "1", "--gate", "5", "b"]),
+        )
+        .expect("declared flags parse");
+        assert_eq!(opts.threads, 2);
+        assert_eq!(opts.out_or("default"), "b", "the last positional wins");
+        assert_eq!(opts.value("--gate"), Some("5"), "the last value wins");
+        assert!(!opts.smoke && opts.trace_out.is_none());
+        let defaults = RunOpts::parse("t", accepts, &[]).expect("empty parses");
+        assert_eq!(defaults.threads, default_threads());
+        assert_eq!(defaults.out_or("default"), "default");
+        for bad in [
+            &["--smoke"][..],
+            &["--health-out", "h"],
+            &["--threads", "0"],
+            &["--trace-out"],
+            &["--gate"],
+            &["--nope"],
+        ] {
+            assert_eq!(RunOpts::parse("t", accepts, &args(bad)), None, "{bad:?}");
+        }
     }
 
     #[test]

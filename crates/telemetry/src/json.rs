@@ -283,6 +283,20 @@ pub fn num(value: f64) -> String {
     }
 }
 
+/// Renders an `f64` the way the `results/BENCH_*.json` files do:
+/// fixed-precision exponential (`1.234568e-3`, deterministic and
+/// diff-friendly), `0.0` for zero, `null` for NaN/infinity.
+#[must_use]
+pub fn sci(value: f64) -> String {
+    if value == 0.0 {
+        "0.0".to_owned()
+    } else if value.is_finite() {
+        format!("{value:.6e}")
+    } else {
+        "null".to_owned()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

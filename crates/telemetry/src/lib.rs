@@ -32,6 +32,9 @@
 //!   with multi-window burn-rate alerts, and the byte-canonical
 //!   `socbus-incident v1` report (schema + validator + Perfetto counter
 //!   tracks for scores and budget burn).
+//! * [`observe`] — the observed-run harness every sharded workload
+//!   shares: the Off/Trace/Health choice, per-sub-run recorders and
+//!   health scopes merged in shard order, and the artefact writer.
 //! * [`quantile`] — the shared histogram-quantile helpers (nearest-rank
 //!   p50/p95/p99/max) used by both the mesh bench and the health SLOs.
 //!
@@ -62,6 +65,7 @@
 pub mod export;
 pub mod health;
 pub mod json;
+pub mod observe;
 pub mod quantile;
 pub mod recorder;
 pub mod sink;
@@ -71,6 +75,7 @@ pub use health::{
     incident_schema, validate_incident, HealthAggregator, HealthConfig, HealthReport, ScopeReport,
 };
 pub use json::Json;
+pub use observe::{write_output, CellObserver, Observation, Observe, ObservedCell, SubRun};
 pub use quantile::Quantiles;
 pub use recorder::{Recorder, RingStats};
 pub use sink::{Labels, NoopSink, Telemetry, TelemetrySink};
