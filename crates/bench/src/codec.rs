@@ -34,7 +34,7 @@ use rand::{Rng, SeedableRng};
 use socbus_channel::montecarlo::{
     word_error_rate_parallel, word_error_rate_parallel_scalar, WordErrorEstimate,
 };
-use socbus_codes::batch::BatchFpc;
+use socbus_codes::batch::BatchLut;
 use socbus_codes::{
     batch_build, codebook_builds, BatchCode, BusCode, ForbiddenPatternCode,
     ForbiddenTransitionCode, Scheme, WordBlock, BLOCK_WORDS,
@@ -268,7 +268,7 @@ pub fn run() -> Vec<Row> {
         let label = format!("FPC({k})");
         for input in ["clean", "corrupted"] {
             let mut code = ForbiddenPatternCode::new(k);
-            let mut dec = BatchFpc::new(k);
+            let mut dec = BatchLut::fpc(k);
             push_batch(&label, &mut code, input, &mut dec);
         }
     }

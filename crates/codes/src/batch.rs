@@ -11,11 +11,13 @@
 //! [`BatchCode`] mirrors [`BusCode`] over blocks. The linear schemes get
 //! native bit-sliced implementations (parity and Hamming syndromes as XOR
 //! trees over lanes, bus-invert popcounts via vertical counters, DAP set
-//! selection as plane logic); the enumerated CAC schemes (FTC, FPC)
+//! selection as plane logic, shielding and duplication as lane moves
+//! through their [`Layout`]); the enumerated CAC schemes (FTC, FPC)
 //! decode through the PR 5 [`crate::kernels`] lookup tables with per-lane
-//! gather/scatter; everything else falls back to [`BatchScalar`], which
-//! loops the scalar codec — so [`batch_build`] always succeeds and every
-//! scheme is batch-addressable behind one API.
+//! gather/scatter; the joint codes are [`Chain`](crate::chain::Chain)s
+//! of those planes. Only BCH-DEC and the planted-fault scheme fall back
+//! to [`BatchScalar`], which loops the scalar codec — so [`batch_build`]
+//! always succeeds and every scheme is batch-addressable behind one API.
 //!
 //! **Equivalence contract:** for every scheme, feeding the words of a
 //! block through the batch codec produces bit-identical outputs and
@@ -29,8 +31,11 @@ use std::sync::Arc;
 
 use crate::cac::{fpc_wires_for_bits, ftc_groups, ftc_wires_for_bits};
 use crate::catalog::Scheme;
-use crate::ecc::hamming_parity_bits;
+use crate::ecc::{data_positions, Hamming};
+use crate::joint;
 use crate::kernels::{codebook_kernel, BookKey, CodebookKernel};
+use crate::layout::Layout;
+use crate::lpc::Partition;
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::word::MAX_WIDTH;
 use socbus_model::Word;
@@ -181,6 +186,16 @@ impl WordBlock {
     /// Panics if `i >= self.width()`.
     pub fn lane_mut(&mut self, i: usize) -> &mut u64 {
         &mut self.lanes[i]
+    }
+
+    /// All lanes, wire 0 first.
+    pub(crate) fn lanes(&self) -> &[u64] {
+        &self.lanes
+    }
+
+    /// All lanes, mutably; callers keep the masking invariant.
+    pub(crate) fn lanes_mut(&mut self) -> &mut [u64] {
+        &mut self.lanes
     }
 
     /// Flips wire `wire` of word `j` — the batch counterpart of a channel
@@ -335,42 +350,52 @@ pub trait BatchCode {
     fn reset(&mut self) {}
 }
 
-/// Builds the batch codec for `scheme` over `k` data bits: a native
-/// bit-sliced implementation where one exists, else a [`BatchScalar`]
-/// wrapper around the scalar codec. Never fails for a buildable scheme.
+/// Builds the batch codec for `scheme` over `k` data bits: the native
+/// bit-sliced implementation (for the joint codes, a
+/// [`Chain`](crate::chain::Chain) of their components' native planes),
+/// else a [`BatchScalar`] wrapper around the scalar codec. Never fails
+/// for a buildable scheme.
 #[must_use]
 pub fn batch_build(scheme: Scheme, k: usize) -> Box<dyn BatchCode> {
-    match scheme {
-        Scheme::Uncoded => Box::new(BatchUncoded::new(k)),
+    native(scheme, k).unwrap_or_else(|| Box::new(BatchScalar::new(scheme.build(k))))
+}
+
+/// Whether `scheme` has a native bit-sliced batch implementation (as
+/// opposed to the [`BatchScalar`] fallback) — decided by the same match
+/// [`batch_build`] dispatches on.
+#[must_use]
+pub fn batch_is_native(scheme: Scheme) -> bool {
+    let k = match scheme {
+        Scheme::BusInvert(i) => i.max(1),
+        _ => 1,
+    };
+    native(scheme, k).is_some()
+}
+
+/// The native batch codec for `scheme`, or `None` where only the scalar
+/// decoder exists (BCH's Berlekamp–Massey decoder, the planted fault).
+fn native(scheme: Scheme, k: usize) -> Option<Box<dyn BatchCode>> {
+    if let Some(chain) = joint::assemble(scheme, k, batch_build) {
+        return Some(Box::new(chain));
+    }
+    Some(match scheme {
+        Scheme::Uncoded => Box::new(BatchLayout::uncoded(k)),
         Scheme::BusInvert(i) => Box::new(BatchBusInvert::new(k, i)),
-        Scheme::Shielding => Box::new(BatchShielding::new(k)),
-        Scheme::Duplication => Box::new(BatchDuplication::new(k)),
-        Scheme::Ftc => Box::new(BatchFtc::new(k)),
+        Scheme::Shielding => Box::new(BatchLayout::shielding(k)),
+        Scheme::Duplication => Box::new(BatchLayout::duplication(k)),
+        Scheme::Ftc => Box::new(BatchLut::ftc(k)),
         Scheme::Parity => Box::new(BatchParity::new(k)),
         Scheme::Hamming => Box::new(BatchHamming::new(k)),
         Scheme::ExtHamming => Box::new(BatchExtendedHamming::new(k)),
         Scheme::Dap => Box::new(BatchDap::new(k)),
-        other => Box::new(BatchScalar::new(other.build(k))),
-    }
-}
-
-/// Whether `scheme` has a native bit-sliced batch implementation (as
-/// opposed to the [`BatchScalar`] fallback). The codec bench gates its
-/// ≥10x speedup verdict on the native linear schemes.
-#[must_use]
-pub fn batch_is_native(scheme: Scheme) -> bool {
-    matches!(
-        scheme,
-        Scheme::Uncoded
-            | Scheme::BusInvert(_)
-            | Scheme::Shielding
-            | Scheme::Duplication
-            | Scheme::Ftc
-            | Scheme::Parity
-            | Scheme::Hamming
-            | Scheme::ExtHamming
-            | Scheme::Dap
-    )
+        Scheme::BchDec | Scheme::Sabotaged => return None,
+        Scheme::HammingX
+        | Scheme::Bih
+        | Scheme::FtcHc
+        | Scheme::Bsc
+        | Scheme::Dapx
+        | Scheme::Dapbi => unreachable!("joint::assemble builds {scheme:?}"),
+    })
 }
 
 /// Adds a one-bit plane into a little-endian vertical counter: after the
@@ -403,45 +428,6 @@ fn counter_at(counter: &[u64], j: usize) -> usize {
 // ---------------------------------------------------------------------------
 // Native bit-sliced schemes
 // ---------------------------------------------------------------------------
-
-/// Batch identity code (`Uncoded`).
-#[derive(Clone, Debug)]
-pub struct BatchUncoded {
-    k: usize,
-}
-
-impl BatchUncoded {
-    /// Uncoded `k`-bit bus.
-    #[must_use]
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0 && k <= MAX_WIDTH);
-        BatchUncoded { k }
-    }
-}
-
-impl BatchCode for BatchUncoded {
-    fn name(&self) -> String {
-        "Uncoded".into()
-    }
-
-    fn data_bits(&self) -> usize {
-        self.k
-    }
-
-    fn wires(&self) -> usize {
-        self.k
-    }
-
-    fn encode(&mut self, data: &WordBlock) -> WordBlock {
-        assert_eq!(data.width(), self.k, "data width mismatch");
-        data.clone()
-    }
-
-    fn decode(&mut self, bus: &WordBlock) -> WordBlock {
-        assert_eq!(bus.width(), self.k, "bus width mismatch");
-        bus.clone()
-    }
-}
 
 /// Batch even-parity code: the parity lane is one XOR tree over the data
 /// lanes — 64 parity bits per fold.
@@ -515,9 +501,6 @@ impl BatchCode for BatchParity {
 pub struct BatchHamming {
     k: usize,
     m: usize,
-    /// Canonical Hamming position (1-based) of each data bit — identical
-    /// to the scalar [`crate::ecc::Hamming`] construction.
-    data_pos: Vec<usize>,
 }
 
 /// Everything the Hamming syndrome logic produces for one block, shared
@@ -536,27 +519,19 @@ impl BatchHamming {
     /// Hamming code over `k` data bits.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        let m = hamming_parity_bits(k);
-        assert!(k + m <= MAX_WIDTH, "bus too wide");
-        let mut data_pos = Vec::with_capacity(k);
-        let mut pos = 1usize;
-        while data_pos.len() < k {
-            if !pos.is_power_of_two() {
-                data_pos.push(pos);
-            }
-            pos += 1;
+        BatchHamming {
+            k,
+            m: Hamming::new(k).parity_bits(),
         }
-        BatchHamming { k, m, data_pos }
     }
 
     /// Parity planes from the data lanes of `block` (lane `i` = data `i`).
     fn parity_planes(&self, block: &WordBlock) -> Vec<u64> {
         (0..self.m)
             .map(|j| {
-                self.data_pos
-                    .iter()
+                data_positions(self.k)
                     .enumerate()
-                    .filter(|&(_, &p)| p & (1 << j) != 0)
+                    .filter(|&(_, p)| p & (1 << j) != 0)
                     .fold(0u64, |acc, (i, _)| acc ^ block.lane(i))
             })
             .collect()
@@ -573,7 +548,7 @@ impl BatchHamming {
         let nonzero = s.iter().fold(0u64, |acc, &p| acc | p) & vm;
         let mut matched = 0u64;
         let mut flip = vec![0u64; self.k];
-        for (i, &pos) in self.data_pos.iter().enumerate() {
+        for (i, pos) in data_positions(self.k).enumerate() {
             let mut mask = vm;
             for (j, &plane) in s.iter().enumerate() {
                 mask &= if pos & (1 << j) != 0 { plane } else { !plane };
@@ -724,14 +699,6 @@ impl BatchCode for BatchExtendedHamming {
     }
 }
 
-/// One bus-invert sub-bus (mirrors the scalar partition exactly).
-#[derive(Clone, Debug)]
-struct BatchSubBus {
-    data_lo: usize,
-    len: usize,
-    wire_lo: usize,
-}
-
 /// Batch bus-invert `BI(i)`: per-word toggle counts come from vertical
 /// counters over the difference planes; the invert decision chains
 /// through the block word by word (it is inherently sequential — each
@@ -740,7 +707,7 @@ struct BatchSubBus {
 #[derive(Clone, Debug)]
 pub struct BatchBusInvert {
     k: usize,
-    subs: Vec<BatchSubBus>,
+    subs: Partition,
     /// Previously driven bus word (encoder memory), as in the scalar code.
     prev: Word,
 }
@@ -750,26 +717,9 @@ impl BatchBusInvert {
     /// [`crate::lpc::BusInvert`].
     #[must_use]
     pub fn new(k: usize, i: usize) -> Self {
-        assert!(i > 0, "need at least one sub-bus");
-        assert!(i <= k, "more sub-buses ({i}) than data bits ({k})");
-        assert!(k + i <= MAX_WIDTH, "coded bus too wide");
-        let (base, extra) = (k / i, k % i);
-        let mut subs = Vec::with_capacity(i);
-        let mut data_lo = 0;
-        let mut wire_lo = 0;
-        for s in 0..i {
-            let len = base + usize::from(s < extra);
-            subs.push(BatchSubBus {
-                data_lo,
-                len,
-                wire_lo,
-            });
-            data_lo += len;
-            wire_lo += len + 1;
-        }
         BatchBusInvert {
             k,
-            subs,
+            subs: Partition::new(k, i),
             prev: Word::zero(k + i),
         }
     }
@@ -777,7 +727,7 @@ impl BatchBusInvert {
 
 impl BatchCode for BatchBusInvert {
     fn name(&self) -> String {
-        format!("BI({})", self.subs.len())
+        format!("BI({})", self.subs.count())
     }
 
     fn data_bits(&self) -> usize {
@@ -785,7 +735,7 @@ impl BatchCode for BatchBusInvert {
     }
 
     fn wires(&self) -> usize {
-        self.k + self.subs.len()
+        self.k + self.subs.count()
     }
 
     fn encode(&mut self, data: &WordBlock) -> WordBlock {
@@ -796,7 +746,7 @@ impl BatchCode for BatchBusInvert {
             return out;
         }
         let vm = data.valid_mask();
-        for sub in &self.subs {
+        for sub in self.subs.subs() {
             let prev_inv = self.prev.bit(sub.wire_lo + sub.len);
             // Difference planes between word j and word j-1 (word -1 is
             // the remembered driven word, un-inverted back to data view).
@@ -831,7 +781,7 @@ impl BatchCode for BatchBusInvert {
     fn decode(&mut self, bus: &WordBlock) -> WordBlock {
         assert_eq!(bus.width(), self.wires(), "bus width mismatch");
         let mut out = WordBlock::zero(self.k, bus.len());
-        for sub in &self.subs {
+        for sub in self.subs.subs() {
             let inv = bus.lane(sub.wire_lo + sub.len);
             for b in 0..sub.len {
                 *out.lane_mut(sub.data_lo + b) = bus.lane(sub.wire_lo + b) ^ inv;
@@ -845,127 +795,83 @@ impl BatchCode for BatchBusInvert {
     }
 }
 
-/// Batch shielding: pure lane remap plus an OR tree over the shield lanes
-/// for the membership check.
+/// The batch codes that are only a [`Layout`] — the identity
+/// (`Uncoded`), shielding, duplication: lane moves, plus, for the two
+/// CACs, the membership check (a set shield, or a copy that disagrees
+/// with its primary) as one OR tree over lanes.
 #[derive(Clone, Debug)]
-pub struct BatchShielding {
-    k: usize,
+pub struct BatchLayout {
+    name: &'static str,
+    layout: Layout,
+    /// Whether `decode_checked` checks membership (the CACs) or reports
+    /// every word unchecked (`Uncoded`).
+    checked: bool,
 }
 
-impl BatchShielding {
-    /// Shielded `k`-bit bus.
+impl BatchLayout {
+    /// Uncoded `k`-bit bus.
     #[must_use]
-    pub fn new(k: usize) -> Self {
+    pub fn uncoded(k: usize) -> Self {
+        assert!(k > 0 && k <= MAX_WIDTH);
+        BatchLayout {
+            name: "Uncoded",
+            layout: Layout::identity(k),
+            checked: false,
+        }
+    }
+
+    /// Shielded `k`-bit bus, `[d0, S, d1, …]`.
+    #[must_use]
+    pub fn shielding(k: usize) -> Self {
         assert!(k > 0, "need at least one data bit");
         assert!(2 * k - 1 <= MAX_WIDTH, "shielded bus too wide");
-        BatchShielding { k }
-    }
-}
-
-impl BatchCode for BatchShielding {
-    fn name(&self) -> String {
-        "Shielding".into()
-    }
-
-    fn data_bits(&self) -> usize {
-        self.k
-    }
-
-    fn wires(&self) -> usize {
-        2 * self.k - 1
-    }
-
-    fn encode(&mut self, data: &WordBlock) -> WordBlock {
-        assert_eq!(data.width(), self.k, "data width mismatch");
-        let mut out = WordBlock::zero(self.wires(), data.len());
-        for i in 0..self.k {
-            *out.lane_mut(2 * i) = data.lane(i);
+        BatchLayout {
+            name: "Shielding",
+            layout: Layout::shielded(k),
+            checked: true,
         }
-        out
     }
 
-    fn decode(&mut self, bus: &WordBlock) -> WordBlock {
-        assert_eq!(bus.width(), self.wires(), "bus width mismatch");
-        let mut out = WordBlock::zero(self.k, bus.len());
-        for i in 0..self.k {
-            *out.lane_mut(i) = bus.lane(2 * i);
-        }
-        out
-    }
-
-    fn decode_checked(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
-        let out = self.decode(bus);
-        let vm = bus.valid_mask();
-        let shields = (0..self.k - 1).fold(0u64, |acc, i| acc | bus.lane(2 * i + 1));
-        let status = BlockStatus {
-            clean: vm & !shields,
-            detected: shields & vm,
-            ..BlockStatus::default()
-        };
-        (out, status)
-    }
-}
-
-/// Batch duplication: lane fan-out on encode, pairwise XOR/OR mismatch
-/// planes on the membership check.
-#[derive(Clone, Debug)]
-pub struct BatchDuplication {
-    k: usize,
-}
-
-impl BatchDuplication {
-    /// Duplicated `k`-bit bus.
+    /// Duplicated `k`-bit bus, `[d0, d0, d1, d1, …]`.
     #[must_use]
-    pub fn new(k: usize) -> Self {
+    pub fn duplication(k: usize) -> Self {
         assert!(k > 0, "need at least one data bit");
         assert!(2 * k <= MAX_WIDTH, "duplicated bus too wide");
-        BatchDuplication { k }
+        BatchLayout {
+            name: "Duplication",
+            layout: Layout::duplicated(k),
+            checked: true,
+        }
     }
 }
 
-impl BatchCode for BatchDuplication {
+impl BatchCode for BatchLayout {
     fn name(&self) -> String {
-        "Duplication".into()
+        self.name.into()
     }
 
     fn data_bits(&self) -> usize {
-        self.k
+        self.layout.bits()
     }
 
     fn wires(&self) -> usize {
-        2 * self.k
+        self.layout.wires()
     }
 
     fn encode(&mut self, data: &WordBlock) -> WordBlock {
-        assert_eq!(data.width(), self.k, "data width mismatch");
-        let mut out = WordBlock::zero(self.wires(), data.len());
-        for i in 0..self.k {
-            *out.lane_mut(2 * i) = data.lane(i);
-            *out.lane_mut(2 * i + 1) = data.lane(i);
-        }
-        out
+        self.layout.place_block(data)
     }
 
     fn decode(&mut self, bus: &WordBlock) -> WordBlock {
-        assert_eq!(bus.width(), self.wires(), "bus width mismatch");
-        let mut out = WordBlock::zero(self.k, bus.len());
-        for i in 0..self.k {
-            *out.lane_mut(i) = bus.lane(2 * i);
-        }
-        out
+        self.layout.read_block(bus)
     }
 
     fn decode_checked(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
-        let out = self.decode(bus);
-        let vm = bus.valid_mask();
-        let mismatch =
-            (0..self.k).fold(0u64, |acc, i| acc | (bus.lane(2 * i) ^ bus.lane(2 * i + 1)));
-        let status = BlockStatus {
-            clean: vm & !mismatch,
-            detected: mismatch & vm,
-            ..BlockStatus::default()
-        };
-        (out, status)
+        if self.checked {
+            self.layout.read_checked_block(bus)
+        } else {
+            (self.decode(bus), BlockStatus::all_unchecked(bus.len()))
+        }
     }
 }
 
@@ -1042,9 +948,9 @@ impl BatchCode for BatchDap {
     }
 }
 
-/// One FTC sub-bus group with its shared decode kernel.
+/// One codebook group of a [`BatchLut`] with its shared decode kernel.
 #[derive(Clone, Debug)]
-struct BatchFtcGroup {
+struct LutGroup {
     data_lo: usize,
     bits: usize,
     wire_lo: usize,
@@ -1052,22 +958,24 @@ struct BatchFtcGroup {
     kernel: Arc<CodebookKernel>,
 }
 
-/// Batch forbidden-transition code: per-group LUT decode through the PR 5
-/// kernels, with the raw codeword values gathered from / scattered to the
-/// lanes word by word (the lookup itself is irreducibly per word, but all
-/// Word-object overhead is gone).
+/// Batch codebook codes — FTC (one group per sub-bus, a grounded shield
+/// between groups) and FPC (one group): per-group LUT decode through the
+/// PR 5 kernels, with the raw codeword values gathered from / scattered
+/// to the lanes word by word (the lookup itself is irreducibly per word,
+/// but all Word-object overhead is gone).
 #[derive(Clone, Debug)]
-pub struct BatchFtc {
+pub struct BatchLut {
+    name: &'static str,
     k: usize,
     wires: usize,
-    groups: Vec<BatchFtcGroup>,
+    groups: Vec<LutGroup>,
 }
 
-impl BatchFtc {
+impl BatchLut {
     /// FTC over `k` data bits, partitioned exactly like the scalar
     /// [`crate::cac::ForbiddenTransitionCode`].
     #[must_use]
-    pub fn new(k: usize) -> Self {
+    pub fn ftc(k: usize) -> Self {
         assert!(k > 0, "need at least one data bit");
         let wires = ftc_wires_for_bits(k);
         assert!(wires <= MAX_WIDTH, "FTC bus too wide");
@@ -1075,7 +983,7 @@ impl BatchFtc {
         let mut data_lo = 0;
         let mut wire_lo = 0;
         for (bits, gw) in ftc_groups(k) {
-            groups.push(BatchFtcGroup {
+            groups.push(LutGroup {
                 data_lo,
                 bits,
                 wire_lo,
@@ -1085,7 +993,36 @@ impl BatchFtc {
             data_lo += bits;
             wire_lo += gw + 1;
         }
-        BatchFtc { k, wires, groups }
+        BatchLut {
+            name: "FTC",
+            k,
+            wires,
+            groups,
+        }
+    }
+
+    /// FPC over `k` data bits (`1..=16`, like the scalar
+    /// [`crate::cac::ForbiddenPatternCode`]).
+    #[must_use]
+    pub fn fpc(k: usize) -> Self {
+        assert!(
+            (1..=16).contains(&k),
+            "single-group FPC supports 1..=16 data bits"
+        );
+        let wires = fpc_wires_for_bits(k);
+        let kernel = codebook_kernel(BookKey::Fpc { k });
+        BatchLut {
+            name: "FPC",
+            k,
+            wires,
+            groups: vec![LutGroup {
+                data_lo: 0,
+                bits: k,
+                wire_lo: 0,
+                wires,
+                kernel,
+            }],
+        }
     }
 
     /// Decodes every group of every word; returns the data block and the
@@ -1112,9 +1049,9 @@ impl BatchFtc {
     }
 }
 
-impl BatchCode for BatchFtc {
+impl BatchCode for BatchLut {
     fn name(&self) -> String {
-        "FTC".into()
+        self.name.into()
     }
 
     fn data_bits(&self) -> usize {
@@ -1166,92 +1103,6 @@ impl BatchCode for BatchFtc {
     }
 }
 
-/// Batch forbidden-pattern code: single-group LUT decode through the PR 5
-/// kernel (dense inverse table up to 16 wires).
-#[derive(Clone, Debug)]
-pub struct BatchFpc {
-    k: usize,
-    wires: usize,
-    kernel: Arc<CodebookKernel>,
-}
-
-impl BatchFpc {
-    /// FPC over `k` data bits (`1..=16`, like the scalar
-    /// [`crate::cac::ForbiddenPatternCode`]).
-    #[must_use]
-    pub fn new(k: usize) -> Self {
-        assert!(
-            (1..=16).contains(&k),
-            "single-group FPC supports 1..=16 data bits"
-        );
-        BatchFpc {
-            k,
-            wires: fpc_wires_for_bits(k),
-            kernel: codebook_kernel(BookKey::Fpc { k }),
-        }
-    }
-}
-
-impl BatchCode for BatchFpc {
-    fn name(&self) -> String {
-        "FPC".into()
-    }
-
-    fn data_bits(&self) -> usize {
-        self.k
-    }
-
-    fn wires(&self) -> usize {
-        self.wires
-    }
-
-    fn encode(&mut self, data: &WordBlock) -> WordBlock {
-        assert_eq!(data.width(), self.k, "data width mismatch");
-        let mut out = WordBlock::zero(self.wires, data.len());
-        for j in 0..data.len() {
-            let mut idx = 0usize;
-            for b in 0..self.k {
-                idx |= (((data.lane(b) >> j) & 1) as usize) << b;
-            }
-            let cw = self.kernel.codeword_bits(idx);
-            for w in 0..self.wires {
-                *out.lane_mut(w) |= (((cw >> w) & 1) as u64) << j;
-            }
-        }
-        out
-    }
-
-    fn decode(&mut self, bus: &WordBlock) -> WordBlock {
-        self.decode_checked(bus).0
-    }
-
-    fn decode_checked(&mut self, bus: &WordBlock) -> (WordBlock, BlockStatus) {
-        assert_eq!(bus.width(), self.wires, "bus width mismatch");
-        let vm = bus.valid_mask();
-        let mut out = WordBlock::zero(self.k, bus.len());
-        let mut clean = vm;
-        for j in 0..bus.len() {
-            let mut raw = 0u128;
-            for w in 0..self.wires {
-                raw |= u128::from((bus.lane(w) >> j) & 1) << w;
-            }
-            let (idx, exact) = self.kernel.decode_index_raw(raw);
-            if !exact {
-                clean &= !(1u64 << j);
-            }
-            for b in 0..self.k {
-                *out.lane_mut(b) |= (((idx >> b) & 1) as u64) << j;
-            }
-        }
-        let status = BlockStatus {
-            clean,
-            detected: vm & !clean,
-            ..BlockStatus::default()
-        };
-        (out, status)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Scalar fallback
 // ---------------------------------------------------------------------------
@@ -1259,9 +1110,8 @@ impl BatchCode for BatchFpc {
 /// Uniform batch API over any scalar [`BusCode`]: transposes the block,
 /// runs the scalar codec word by word in block order, transposes back.
 /// Trivially byte-identical to the scalar path — the schemes without a
-/// native bit-sliced implementation (BIH, HammingX, FTC+HC, BSC, DAPX,
-/// DAPBI, BCH-DEC) route through this, so every catalog scheme is batch-
-/// addressable.
+/// native bit-sliced implementation (BCH-DEC and the planted-fault
+/// scheme) route through this, so every scheme is batch-addressable.
 pub struct BatchScalar {
     inner: Box<dyn BusCode>,
 }

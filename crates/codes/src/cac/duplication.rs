@@ -1,5 +1,6 @@
 //! Wire duplication: the trivial forbidden-pattern code.
 
+use crate::layout::Layout;
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::{DelayClass, Word};
 
@@ -11,13 +12,14 @@ use socbus_model::{DelayClass, Word};
 /// Duplication is the CAC component of the paper's DAP-family joint codes
 /// and doubles as a distance-2 error-detecting code.
 ///
-/// Wire layout: `[d0, d0, d1, d1, ..., d(k-1), d(k-1)]`.
+/// Wire layout: `[d0, d0, d1, d1, ..., d(k-1), d(k-1)]`
+/// ([`Layout::duplicated`]).
 ///
 /// Decoding uses the even copy of each pair; [`Duplication::mismatch_mask`]
 /// exposes pairs whose copies disagree (single-wire error detection).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Duplication {
-    k: usize,
+    layout: Layout,
 }
 
 impl Duplication {
@@ -33,7 +35,9 @@ impl Duplication {
             2 * k <= socbus_model::word::MAX_WIDTH,
             "duplicated bus too wide"
         );
-        Duplication { k }
+        Duplication {
+            layout: Layout::duplicated(k),
+        }
     }
 
     /// Data-bit positions whose two copies disagree in `bus` — a nonzero
@@ -45,9 +49,9 @@ impl Duplication {
     #[must_use]
     pub fn mismatch_mask(&self, bus: Word) -> Word {
         assert_eq!(bus.width(), self.wires(), "bus width mismatch");
-        let mut m = Word::zero(self.k);
-        for i in 0..self.k {
-            m.set_bit(i, bus.bit(2 * i) != bus.bit(2 * i + 1));
+        let mut m = Word::zero(self.data_bits());
+        for (i, (a, b)) in self.layout.copy_pairs().enumerate() {
+            m.set_bit(i, bus.bit(a) != bus.bit(b));
         }
         m
     }
@@ -59,30 +63,19 @@ impl BusCode for Duplication {
     }
 
     fn data_bits(&self) -> usize {
-        self.k
+        self.layout.bits()
     }
 
     fn wires(&self) -> usize {
-        2 * self.k
+        self.layout.wires()
     }
 
     fn encode(&mut self, data: Word) -> Word {
-        assert_eq!(data.width(), self.k, "data width mismatch");
-        let mut out = Word::zero(self.wires());
-        for i in 0..self.k {
-            out.set_bit(2 * i, data.bit(i));
-            out.set_bit(2 * i + 1, data.bit(i));
-        }
-        out
+        self.layout.place(data)
     }
 
     fn decode(&mut self, bus: Word) -> Word {
-        assert_eq!(bus.width(), self.wires(), "bus width mismatch");
-        let mut out = Word::zero(self.k);
-        for i in 0..self.k {
-            out.set_bit(i, bus.bit(2 * i));
-        }
-        out
+        self.layout.read(bus)
     }
 
     fn detectable_errors(&self) -> usize {
@@ -90,12 +83,7 @@ impl BusCode for Duplication {
     }
 
     fn decode_checked(&mut self, bus: Word) -> (Word, DecodeStatus) {
-        let status = if self.mismatch_mask(bus).count_ones() == 0 {
-            DecodeStatus::Clean
-        } else {
-            DecodeStatus::Detected
-        };
-        (self.decode(bus), status)
+        self.layout.read_checked(bus)
     }
 
     fn guaranteed_delay_class(&self) -> DelayClass {

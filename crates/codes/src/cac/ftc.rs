@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use crate::kernels::{codebook_kernel, BookKey, CodebookKernel};
+use crate::layout::Layout;
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::{DelayClass, Word};
 
@@ -171,6 +172,21 @@ pub fn ftc_wires_for_bits(k: usize) -> usize {
     groups.iter().map(|&(_, w)| w).sum::<usize>() + groups.len().saturating_sub(1)
 }
 
+/// The FTC bus for `k` data bits as a layout of its code bits: every
+/// group's wires in order, one grounded shield between groups. FTC+HC
+/// protects exactly these code bits with its Hamming code.
+#[must_use]
+pub fn ftc_layout(k: usize) -> Layout {
+    group_sizes(k)
+        .into_iter()
+        .enumerate()
+        .fold(Layout::new(), |layout, (g, (_, wires))| {
+            let layout = if g == 0 { layout } else { layout.shield() };
+            let next = layout.bits();
+            layout.run(next, wires)
+        })
+}
+
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Group {
     data_lo: usize,
@@ -262,20 +278,6 @@ impl ForbiddenTransitionCode {
             for b in 0..g.bits {
                 out.set_bit(g.data_lo + b, (idx >> b) & 1 == 1);
             }
-        }
-        out
-    }
-}
-
-impl ForbiddenTransitionCode {
-    /// Bus wire indices that carry code bits (everything except the
-    /// inter-group shields), in ascending order. FTC+HC computes its
-    /// Hamming parity over exactly these wires.
-    #[must_use]
-    pub fn info_wires(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for g in &self.groups {
-            out.extend(g.wire_lo..g.wire_lo + g.wires);
         }
         out
     }

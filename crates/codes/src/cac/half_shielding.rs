@@ -1,5 +1,6 @@
 //! Half-shielding: a shield after every *pair* of wires.
 
+use crate::layout::Layout;
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::{DelayClass, Word};
 
@@ -12,10 +13,11 @@ use socbus_model::{DelayClass, Word};
 /// group: the `λτ0` of slack masks the Hamming encoder delay (§III-E) at
 /// roughly half the wire cost of full shielding.
 ///
-/// Wire layout for k = 5: `[d0, d1, S, d2, d3, S, d4]`.
+/// Wire layout for k = 5: `[d0, d1, S, d2, d3, S, d4]`
+/// ([`Layout::half_shielded`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HalfShielding {
-    k: usize,
+    layout: Layout,
 }
 
 impl HalfShielding {
@@ -29,14 +31,9 @@ impl HalfShielding {
         assert!(k > 0, "need at least one data bit");
         let wires = k + k.div_ceil(2) - 1;
         assert!(wires <= socbus_model::word::MAX_WIDTH, "bus too wide");
-        HalfShielding { k }
-    }
-
-    /// Bus wire index of data bit `i`: pairs of data wires separated by one
-    /// shield.
-    fn wire_of(i: usize) -> usize {
-        // Pair p = i/2 starts at wire 3p; members at 3p and 3p+1.
-        3 * (i / 2) + (i % 2)
+        HalfShielding {
+            layout: Layout::half_shielded(k),
+        }
     }
 }
 
@@ -46,29 +43,19 @@ impl BusCode for HalfShielding {
     }
 
     fn data_bits(&self) -> usize {
-        self.k
+        self.layout.bits()
     }
 
     fn wires(&self) -> usize {
-        self.k + self.k.div_ceil(2) - 1
+        self.layout.wires()
     }
 
     fn encode(&mut self, data: Word) -> Word {
-        assert_eq!(data.width(), self.k, "data width mismatch");
-        let mut out = Word::zero(self.wires());
-        for i in 0..self.k {
-            out.set_bit(Self::wire_of(i), data.bit(i));
-        }
-        out
+        self.layout.place(data)
     }
 
     fn decode(&mut self, bus: Word) -> Word {
-        assert_eq!(bus.width(), self.wires(), "bus width mismatch");
-        let mut out = Word::zero(self.k);
-        for i in 0..self.k {
-            out.set_bit(i, bus.bit(Self::wire_of(i)));
-        }
-        out
+        self.layout.read(bus)
     }
 
     /// Like [`BusCode::decode`], but reports whether the received bus was
@@ -79,14 +66,7 @@ impl BusCode for HalfShielding {
     /// [`BusCode::detectable_errors`] stays 0; the status is best-effort
     /// membership checking, not a detection promise.
     fn decode_checked(&mut self, bus: Word) -> (Word, DecodeStatus) {
-        let out = self.decode(bus);
-        let shields_clear = (0..bus.width()).filter(|w| w % 3 == 2).all(|w| !bus.bit(w));
-        let status = if shields_clear {
-            DecodeStatus::Clean
-        } else {
-            DecodeStatus::Detected
-        };
-        (out, status)
+        self.layout.read_checked(bus)
     }
 
     fn guaranteed_delay_class(&self) -> DelayClass {

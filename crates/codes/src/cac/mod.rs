@@ -29,7 +29,8 @@ pub(crate) use fpc::enumerate_fp_book;
 pub use fpc::{fp_condition, fpc_codebook, fpc_wires_for_bits, ForbiddenPatternCode};
 pub(crate) use ftc::search_ft_book;
 pub use ftc::{
-    ft_compatible, ftc_codebook, ftc_groups, ftc_wires_for_bits, ForbiddenTransitionCode,
+    ft_compatible, ftc_codebook, ftc_groups, ftc_layout, ftc_wires_for_bits,
+    ForbiddenTransitionCode,
 };
 pub use half_shielding::HalfShielding;
 pub use shielding::Shielding;

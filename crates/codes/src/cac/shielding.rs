@@ -1,5 +1,6 @@
 //! Wire shielding: the trivial forbidden-transition code.
 
+use crate::layout::Layout;
 use crate::traits::{BusCode, DecodeStatus};
 use socbus_model::{DelayClass, Word};
 
@@ -12,10 +13,10 @@ use socbus_model::{DelayClass, Word};
 /// Table III shows shielding with zero codec overhead — at the price of the
 /// largest wire count and no power or reliability benefit.
 ///
-/// Wire layout: `[d0, S, d1, S, ..., d(k-1)]`.
+/// Wire layout: `[d0, S, d1, S, ..., d(k-1)]` ([`Layout::shielded`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Shielding {
-    k: usize,
+    layout: Layout,
 }
 
 impl Shielding {
@@ -31,7 +32,9 @@ impl Shielding {
             2 * k - 1 <= socbus_model::word::MAX_WIDTH,
             "shielded bus too wide"
         );
-        Shielding { k }
+        Shielding {
+            layout: Layout::shielded(k),
+        }
     }
 }
 
@@ -41,29 +44,19 @@ impl BusCode for Shielding {
     }
 
     fn data_bits(&self) -> usize {
-        self.k
+        self.layout.bits()
     }
 
     fn wires(&self) -> usize {
-        2 * self.k - 1
+        self.layout.wires()
     }
 
     fn encode(&mut self, data: Word) -> Word {
-        assert_eq!(data.width(), self.k, "data width mismatch");
-        let mut out = Word::zero(self.wires());
-        for i in 0..self.k {
-            out.set_bit(2 * i, data.bit(i));
-        }
-        out
+        self.layout.place(data)
     }
 
     fn decode(&mut self, bus: Word) -> Word {
-        assert_eq!(bus.width(), self.wires(), "bus width mismatch");
-        let mut out = Word::zero(self.k);
-        for i in 0..self.k {
-            out.set_bit(i, bus.bit(2 * i));
-        }
-        out
+        self.layout.read(bus)
     }
 
     /// Like [`BusCode::decode`], but reports whether the received bus was
@@ -73,14 +66,7 @@ impl BusCode for Shielding {
     /// [`BusCode::detectable_errors`] stays 0; the status is best-effort
     /// membership checking, not a detection promise.
     fn decode_checked(&mut self, bus: Word) -> (Word, DecodeStatus) {
-        let out = self.decode(bus);
-        let shields_clear = (0..self.k.saturating_sub(1)).all(|i| !bus.bit(2 * i + 1));
-        let status = if shields_clear {
-            DecodeStatus::Clean
-        } else {
-            DecodeStatus::Detected
-        };
-        (out, status)
+        self.layout.read_checked(bus)
     }
 
     fn guaranteed_delay_class(&self) -> DelayClass {

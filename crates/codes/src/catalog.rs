@@ -4,7 +4,7 @@
 
 use crate::cac::{Duplication, ForbiddenTransitionCode, Shielding};
 use crate::ecc::{BchDec, ExtendedHamming, Hamming, ParityBit};
-use crate::joint::{Bih, Bsc, Dap, Dapbi, Dapx, FtcHc, HammingX};
+use crate::joint::{self, Dap};
 use crate::lpc::BusInvert;
 use crate::sabotage::SabotagedHamming;
 use crate::traits::{BusCode, Uncoded};
@@ -52,9 +52,13 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// Builds the codec for `k` data bits.
+    /// Builds the codec for `k` data bits. The joint codes other than DAP
+    /// are chains of the others ([`joint::assemble`]).
     #[must_use]
     pub fn build(self, k: usize) -> Box<dyn BusCode> {
+        if let Some(chain) = joint::assemble(self, k, Scheme::build) {
+            return Box::new(chain);
+        }
         match self {
             Scheme::Uncoded => Box::new(Uncoded::new(k)),
             Scheme::BusInvert(i) => Box::new(BusInvert::new(k, i)),
@@ -63,16 +67,16 @@ impl Scheme {
             Scheme::Ftc => Box::new(ForbiddenTransitionCode::new(k)),
             Scheme::Parity => Box::new(ParityBit::new(k)),
             Scheme::Hamming => Box::new(Hamming::new(k)),
-            Scheme::HammingX => Box::new(HammingX::new(k)),
-            Scheme::Bih => Box::new(Bih::new(k)),
-            Scheme::FtcHc => Box::new(FtcHc::new(k)),
-            Scheme::Bsc => Box::new(Bsc::new(k)),
             Scheme::Dap => Box::new(Dap::new(k)),
-            Scheme::Dapx => Box::new(Dapx::new(k)),
-            Scheme::Dapbi => Box::new(Dapbi::new(k)),
             Scheme::ExtHamming => Box::new(ExtendedHamming::new(k)),
             Scheme::BchDec => Box::new(BchDec::new(k)),
             Scheme::Sabotaged => Box::new(SabotagedHamming::new(k)),
+            Scheme::HammingX
+            | Scheme::Bih
+            | Scheme::FtcHc
+            | Scheme::Bsc
+            | Scheme::Dapx
+            | Scheme::Dapbi => unreachable!("joint::assemble builds {self:?}"),
         }
     }
 
@@ -81,29 +85,31 @@ impl Scheme {
     pub fn name(self) -> String {
         match self {
             Scheme::BusInvert(i) => format!("BI({i})"),
-            other => other.build_name(),
+            other => other.label().into(),
         }
     }
 
-    fn build_name(self) -> String {
+    /// [`Scheme::name`] of every scheme but `BusInvert`, without an
+    /// allocation.
+    pub(crate) fn label(self) -> &'static str {
         match self {
-            Scheme::Uncoded => "Uncoded".into(),
-            Scheme::BusInvert(_) => unreachable!("handled by name()"),
-            Scheme::Shielding => "Shielding".into(),
-            Scheme::Duplication => "Duplication".into(),
-            Scheme::Ftc => "FTC".into(),
-            Scheme::Parity => "Parity".into(),
-            Scheme::Hamming => "Hamming".into(),
-            Scheme::HammingX => "HammingX".into(),
-            Scheme::Bih => "BIH".into(),
-            Scheme::FtcHc => "FTC+HC".into(),
-            Scheme::Bsc => "BSC".into(),
-            Scheme::Dap => "DAP".into(),
-            Scheme::Dapx => "DAPX".into(),
-            Scheme::Dapbi => "DAPBI".into(),
-            Scheme::ExtHamming => "ExtHamming".into(),
-            Scheme::BchDec => "BCH-DEC".into(),
-            Scheme::Sabotaged => "Sabotaged".into(),
+            Scheme::Uncoded => "Uncoded",
+            Scheme::BusInvert(_) => "BI",
+            Scheme::Shielding => "Shielding",
+            Scheme::Duplication => "Duplication",
+            Scheme::Ftc => "FTC",
+            Scheme::Parity => "Parity",
+            Scheme::Hamming => "Hamming",
+            Scheme::HammingX => "HammingX",
+            Scheme::Bih => "BIH",
+            Scheme::FtcHc => "FTC+HC",
+            Scheme::Bsc => "BSC",
+            Scheme::Dap => "DAP",
+            Scheme::Dapx => "DAPX",
+            Scheme::Dapbi => "DAPBI",
+            Scheme::ExtHamming => "ExtHamming",
+            Scheme::BchDec => "BCH-DEC",
+            Scheme::Sabotaged => "Sabotaged",
         }
     }
 

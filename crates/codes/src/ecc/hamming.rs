@@ -49,8 +49,12 @@ pub fn hamming_parity_bits(k: usize) -> usize {
 pub struct Hamming {
     k: usize,
     m: usize,
-    /// Canonical Hamming position (1-based) of each data bit.
-    data_pos: Vec<usize>,
+}
+
+/// The canonical Hamming position (1-based) of each of `k` data bits: the
+/// numbers from 3 up that are not powers of two.
+pub(crate) fn data_positions(k: usize) -> impl Iterator<Item = usize> {
+    (3usize..).filter(|p| !p.is_power_of_two()).take(k)
 }
 
 impl Hamming {
@@ -63,15 +67,7 @@ impl Hamming {
     pub fn new(k: usize) -> Self {
         let m = hamming_parity_bits(k);
         assert!(k + m <= socbus_model::word::MAX_WIDTH, "bus too wide");
-        let mut data_pos = Vec::with_capacity(k);
-        let mut pos = 1usize;
-        while data_pos.len() < k {
-            if !pos.is_power_of_two() {
-                data_pos.push(pos);
-            }
-            pos += 1;
-        }
-        Hamming { k, m, data_pos }
+        Hamming { k, m }
     }
 
     /// Number of parity bits `m`.
@@ -91,24 +87,21 @@ impl Hamming {
     #[must_use]
     pub fn parity_coverage(&self, j: usize) -> Vec<usize> {
         assert!(j < self.m, "parity index {j} out of range");
-        (0..self.k)
-            .filter(|&i| self.data_pos[i] & (1 << j) != 0)
+        data_positions(self.k)
+            .enumerate()
+            .filter(|&(_, pos)| pos & (1 << j) != 0)
+            .map(|(i, _)| i)
             .collect()
     }
 
-    /// Computes the `m` parity bits for a data word.
+    /// Computes the `m` parity bits for a data word: parity `j` is bit
+    /// `j` of the XOR of the set data bits' canonical positions.
     fn parities(&self, data: Word) -> Word {
-        let mut p = Word::zero(self.m);
-        for j in 0..self.m {
-            let mut acc = false;
-            for i in 0..self.k {
-                if self.data_pos[i] & (1 << j) != 0 {
-                    acc ^= data.bit(i);
-                }
-            }
-            p.set_bit(j, acc);
-        }
-        p
+        let acc = data_positions(self.k)
+            .enumerate()
+            .filter(|&(i, _)| data.bit(i))
+            .fold(0, |acc, (_, pos)| acc ^ pos);
+        Word::from_bits(acc as u128, self.m)
     }
 }
 
@@ -145,12 +138,14 @@ impl BusCode for Hamming {
         }
         if !syndrome.is_power_of_two() {
             // Error in a data bit: find the bit with that canonical position.
-            match self.data_pos.iter().position(|&p| p == syndrome) {
-                Some(i) => data.set_bit(i, !data.bit(i)),
+            // Positions below it skip its floor(log2) + 1 powers of two.
+            let i = syndrome - syndrome.ilog2() as usize - 2;
+            if i >= self.k {
                 // Syndrome points outside the used positions: uncorrectable
                 // (multi-bit) error.
-                None => return (data, DecodeStatus::Detected),
+                return (data, DecodeStatus::Detected);
             }
+            data.set_bit(i, !data.bit(i));
         }
         // Power-of-two syndrome: a parity wire flipped; data is intact.
         (data, DecodeStatus::Corrected)

@@ -22,5 +22,6 @@ mod parity;
 
 pub use bch::BchDec;
 pub use extended::ExtendedHamming;
+pub(crate) use hamming::data_positions;
 pub use hamming::{hamming_parity_bits, Hamming};
 pub use parity::ParityBit;

@@ -21,15 +21,21 @@
 //! 4. ECC is systematic — all ECCs here are.
 //! 5. ECC parity bits go through a linear CAC (LXC2).
 //!
-//! The composer yields a working [`ComposedCode`]; the paper's named joint
-//! codes in [`crate::joint`] are hand-optimized instances of the same
-//! structure (e.g. DAPBI fuses the duplication into the DAP decoder).
+//! The composer yields a working [`ComposedCode`], a [`Chain`] of the
+//! chosen components laid out by one [`Layout`] — the same chain and
+//! layout types the paper's named joint codes in [`crate::joint`] are
+//! assembled from.
 
-use crate::cac::{Duplication, ForbiddenPatternCode, ForbiddenTransitionCode, Shielding};
-use crate::ecc::{ExtendedHamming, Hamming, ParityBit};
+use crate::cac::{
+    fpc_wires_for_bits, ftc_wires_for_bits, Duplication, ForbiddenPatternCode,
+    ForbiddenTransitionCode, Shielding,
+};
+use crate::chain::Chain;
+use crate::ecc::{hamming_parity_bits, ExtendedHamming, Hamming, ParityBit};
+use crate::layout::Layout;
 use crate::lpc::BusInvert;
-use crate::traits::{BusCode, DecodeStatus};
-use socbus_model::{DelayClass, Word};
+use crate::traits::{BusCode, Uncoded};
+use socbus_model::word::MAX_WIDTH;
 use std::fmt;
 
 /// CAC component selection.
@@ -49,6 +55,17 @@ pub enum CacChoice {
 }
 
 impl CacChoice {
+    /// The CAC's part of a composed code's name.
+    fn label(self) -> Option<&'static str> {
+        match self {
+            CacChoice::None => None,
+            CacChoice::Shielding => Some("Shield"),
+            CacChoice::Duplication => Some("Dup"),
+            CacChoice::Ftc => Some("FTC"),
+            CacChoice::Fpc => Some("FPC"),
+        }
+    }
+
     /// Whether this CAC's guarantee survives complementing the code bits.
     fn survives_inversion(self) -> bool {
         matches!(
@@ -104,8 +121,16 @@ pub enum CompositionError {
     /// Condition 5: an ECC produces parity bits but no LXC2 was given
     /// while the data bits carry a CAC guarantee.
     MissingLxc2,
-    /// The assembled bus exceeds the word-width limit.
+    /// The assembled bus exceeds the word-width limit (`wires` is a lower
+    /// bound when the data word alone already does).
     TooWide { wires: usize },
+    /// There are no data bits to code (`k = 0`).
+    NoDataBits,
+    /// Bus-invert needs between one sub-bus and one per code wire.
+    SubBuses { sub_buses: usize, wires: usize },
+    /// The forbidden-pattern codebook is enumerated in one group of at
+    /// most 16 data bits.
+    FpcTooWide { k: usize },
 }
 
 impl fmt::Display for CompositionError {
@@ -128,6 +153,16 @@ impl fmt::Display for CompositionError {
             }
             CompositionError::TooWide { wires } => {
                 write!(f, "composed bus of {wires} wires is too wide")
+            }
+            CompositionError::NoDataBits => write!(f, "a code needs at least one data bit"),
+            CompositionError::SubBuses { sub_buses, wires } => {
+                write!(
+                    f,
+                    "bus-invert over {wires} wires cannot have {sub_buses} sub-buses"
+                )
+            }
+            CompositionError::FpcTooWide { k } => {
+                write!(f, "the FPC codebook covers at most 16 data bits, not {k}")
             }
         }
     }
@@ -216,13 +251,16 @@ impl Framework {
         self
     }
 
-    /// Validates the composition rules and assembles the code.
+    /// Validates the composition rules and the widths, then assembles the
+    /// code. Every width is computed before any component is built, so an
+    /// impossible bus is an error, never a panic.
     ///
     /// # Errors
     ///
     /// Returns a [`CompositionError`] when the combination violates one of
-    /// the paper's conditions (see module docs).
+    /// the paper's conditions (see module docs) or cannot fit a bus.
     pub fn build(self) -> Result<ComposedCode, CompositionError> {
+        let k = self.k;
         let has_cac_guarantee = !matches!(self.cac, CacChoice::None);
         if !matches!(self.lpc, LpcChoice::None) && !self.cac.survives_inversion() {
             let name = match self.cac {
@@ -238,416 +276,107 @@ impl Framework {
         if has_cac_guarantee && !matches!(self.ecc, EccChoice::None) && self.lxc2.is_none() {
             return Err(CompositionError::MissingLxc2);
         }
+        if k == 0 {
+            return Err(CompositionError::NoDataBits);
+        }
+        if k > MAX_WIDTH {
+            return Err(CompositionError::TooWide { wires: k });
+        }
 
-        let cac = match self.cac {
-            CacChoice::None => CacStage::None(self.k),
-            CacChoice::Shielding => CacStage::Shielding(Shielding::new(self.k)),
-            CacChoice::Duplication => CacStage::Duplication(Duplication::new(self.k)),
-            CacChoice::Ftc => CacStage::Ftc(ForbiddenTransitionCode::new(self.k)),
-            CacChoice::Fpc => CacStage::Fpc(ForbiddenPatternCode::new(self.k)),
+        let n = match self.cac {
+            CacChoice::None => k,
+            CacChoice::Shielding => 2 * k - 1,
+            CacChoice::Duplication => 2 * k,
+            CacChoice::Ftc => ftc_wires_for_bits(k),
+            CacChoice::Fpc if k > 16 => return Err(CompositionError::FpcTooWide { k }),
+            CacChoice::Fpc => fpc_wires_for_bits(k),
         };
-        let n = cac.wires();
-        let lpc = match self.lpc {
+        let p = match self.lpc {
+            LpcChoice::None => 0,
+            LpcChoice::BusInvert(i) if i == 0 || i > n => {
+                return Err(CompositionError::SubBuses {
+                    sub_buses: i,
+                    wires: n,
+                })
+            }
+            LpcChoice::BusInvert(i) => i,
+        };
+        let m = match self.ecc {
+            EccChoice::None => 0,
+            EccChoice::Parity => 1,
+            EccChoice::Hamming => hamming_parity_bits(n + p),
+            EccChoice::ExtendedHamming => hamming_parity_bits(n + p) + 1,
+        };
+        let layout = Layout::identity(n)
+            .then(&side_layout(self.lxc1, p))
+            .then(&side_layout(self.lxc2, m));
+        if layout.wires() > MAX_WIDTH {
+            return Err(CompositionError::TooWide {
+                wires: layout.wires(),
+            });
+        }
+
+        let cac: Option<Box<dyn BusCode>> = match self.cac {
+            CacChoice::None => None,
+            CacChoice::Shielding => Some(Box::new(Shielding::new(k))),
+            CacChoice::Duplication => Some(Box::new(Duplication::new(k))),
+            CacChoice::Ftc => Some(Box::new(ForbiddenTransitionCode::new(k))),
+            CacChoice::Fpc => Some(Box::new(ForbiddenPatternCode::new(k))),
+        };
+        let lpc: Option<Box<dyn BusCode>> = match self.lpc {
             LpcChoice::None => None,
-            LpcChoice::BusInvert(i) => Some(BusInvert::new(n, i)),
+            LpcChoice::BusInvert(i) => Some(Box::new(BusInvert::new(n, i))),
         };
-        let p = lpc.as_ref().map_or(0, BusInvert::sub_buses);
-        let protected = n + p;
-        let ecc = match self.ecc {
-            EccChoice::None => EccStage::None,
-            EccChoice::Parity => EccStage::Parity(ParityBit::new(protected)),
-            EccChoice::Hamming => EccStage::Hamming(Hamming::new(protected)),
-            EccChoice::ExtendedHamming => EccStage::Ext(ExtendedHamming::new(protected)),
+        let ecc: Box<dyn BusCode> = match self.ecc {
+            EccChoice::None => Box::new(Uncoded::new(n + p)),
+            EccChoice::Parity => Box::new(ParityBit::new(n + p)),
+            EccChoice::Hamming => Box::new(Hamming::new(n + p)),
+            EccChoice::ExtendedHamming => Box::new(ExtendedHamming::new(n + p)),
         };
-        let m = ecc.parity_bits();
-        let lxc1_wires = expanded_wires(self.lxc1, p);
-        let lxc2_wires = expanded_wires(self.lxc2, m);
-        let wires = n + lxc1_wires + lxc2_wires;
-        if wires > socbus_model::word::MAX_WIDTH {
-            return Err(CompositionError::TooWide { wires });
-        }
-        Ok(ComposedCode {
-            k: self.k,
-            n,
-            p,
-            m,
-            lxc1: self.lxc1,
-            lxc2: self.lxc2,
-            cac,
-            lpc,
-            ecc,
-            wires,
-        })
+        let name = [
+            self.cac.label().map(String::from),
+            lpc.as_ref().map(|bi| bi.name()),
+            (self.ecc != EccChoice::None).then(|| ecc.name()),
+        ]
+        .into_iter()
+        .flatten()
+        .reduce(|a, b| format!("{a}+{b}"))
+        .unwrap_or_else(|| "Uncoded".into());
+        // CAC then LPC is itself a chain: BI over the CAC's n wires.
+        let outer: Option<Box<dyn BusCode>> = match (cac, lpc) {
+            (Some(cac), Some(bi)) => Some(Box::new(Chain::new("", Some(cac), None, bi, None))),
+            (cac, lpc) => lpc.or(cac),
+        };
+        let tap = (p > 0).then(|| Layout::bus_invert(n, p));
+        Ok(Chain::new(name, outer, tap, ecc, Some(layout)))
     }
 }
 
-fn expanded_wires(lxc: Option<LxcChoice>, bits: usize) -> usize {
-    if bits == 0 {
-        0
-    } else {
-        match lxc {
-            None => bits,
-            Some(LxcChoice::Shielding) | Some(LxcChoice::Duplication) => 2 * bits,
-        }
+/// The layout of `bits` side bits through an LXC: `[S, b0, S, b1, …]`
+/// for shielding, `[b0, b0, b1, b1, …]` for duplication, in order without
+/// one.
+fn side_layout(lxc: Option<LxcChoice>, bits: usize) -> Layout {
+    match lxc {
+        None => Layout::identity(bits),
+        Some(LxcChoice::Shielding) => Layout::shield_each(bits),
+        Some(LxcChoice::Duplication) => Layout::duplicated(bits),
     }
 }
 
-#[derive(Clone, Debug)]
-enum CacStage {
-    None(usize),
-    Shielding(Shielding),
-    Duplication(Duplication),
-    Ftc(ForbiddenTransitionCode),
-    Fpc(ForbiddenPatternCode),
-}
-
-impl CacStage {
-    fn wires(&self) -> usize {
-        match self {
-            CacStage::None(k) => *k,
-            CacStage::Shielding(c) => c.wires(),
-            CacStage::Duplication(c) => c.wires(),
-            CacStage::Ftc(c) => c.wires(),
-            CacStage::Fpc(c) => c.wires(),
-        }
-    }
-
-    fn encode(&mut self, d: Word) -> Word {
-        match self {
-            CacStage::None(_) => d,
-            CacStage::Shielding(c) => c.encode(d),
-            CacStage::Duplication(c) => c.encode(d),
-            CacStage::Ftc(c) => c.encode(d),
-            CacStage::Fpc(c) => c.encode(d),
-        }
-    }
-
-    fn decode(&mut self, w: Word) -> Word {
-        match self {
-            CacStage::None(_) => w,
-            CacStage::Shielding(c) => c.decode(w),
-            CacStage::Duplication(c) => c.decode(w),
-            CacStage::Ftc(c) => c.decode(w),
-            CacStage::Fpc(c) => c.decode(w),
-        }
-    }
-
-    fn delay_class(&self) -> DelayClass {
-        match self {
-            CacStage::None(_) => DelayClass::WORST,
-            _ => DelayClass::CAC,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            CacStage::None(_) => "",
-            CacStage::Shielding(_) => "Shield",
-            CacStage::Duplication(_) => "Dup",
-            CacStage::Ftc(_) => "FTC",
-            CacStage::Fpc(_) => "FPC",
-        }
-    }
-}
-
-#[derive(Clone, Debug)]
-enum EccStage {
-    None,
-    Parity(ParityBit),
-    Hamming(Hamming),
-    Ext(ExtendedHamming),
-}
-
-impl EccStage {
-    fn parity_bits(&self) -> usize {
-        match self {
-            EccStage::None => 0,
-            EccStage::Parity(_) => 1,
-            EccStage::Hamming(h) => h.parity_bits(),
-            EccStage::Ext(e) => e.parity_bits(),
-        }
-    }
-
-    fn encode(&mut self, payload: Word) -> Word {
-        match self {
-            EccStage::None => Word::zero(0),
-            EccStage::Parity(c) => {
-                let cw = c.encode(payload);
-                cw.slice(payload.width(), 1)
-            }
-            EccStage::Hamming(c) => {
-                let cw = c.encode(payload);
-                cw.slice(payload.width(), c.parity_bits())
-            }
-            EccStage::Ext(c) => {
-                let cw = c.encode(payload);
-                cw.slice(payload.width(), c.parity_bits())
-            }
-        }
-    }
-
-    fn decode(&mut self, payload: Word, parity: Word) -> (Word, DecodeStatus) {
-        match self {
-            EccStage::None => (payload, DecodeStatus::Unchecked),
-            EccStage::Parity(c) => c.decode_checked(payload.concat(parity)),
-            EccStage::Hamming(c) => c.decode_checked(payload.concat(parity)),
-            EccStage::Ext(c) => c.decode_checked(payload.concat(parity)),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            EccStage::None => "",
-            EccStage::Parity(_) => "Parity",
-            EccStage::Hamming(_) => "Hamming",
-            EccStage::Ext(_) => "ExtHamming",
-        }
-    }
-}
-
-/// A code assembled by the [`Framework`] builder.
-///
-/// Bus layout: `[n CAC/LPC code wires | LXC1(invert bits) | LXC2(parity)]`.
+/// A code assembled by the [`Framework`] builder: a [`Chain`] whose outer
+/// stage is the CAC and/or LPC, whose inner stage is the ECC over the
+/// code and invert bits, and whose layout is
+/// `[n CAC/LPC code wires | LXC1(invert bits) | LXC2(parity)]`.
 /// Decoding runs ECC → LPC → CAC, the order condition 1 mandates.
-#[derive(Clone, Debug)]
-pub struct ComposedCode {
-    k: usize,
-    n: usize,
-    p: usize,
-    m: usize,
-    lxc1: Option<LxcChoice>,
-    lxc2: Option<LxcChoice>,
-    cac: CacStage,
-    lpc: Option<BusInvert>,
-    ecc: EccStage,
-    wires: usize,
-}
-
-impl ComposedCode {
-    /// Number of LPC invert bits `p`.
-    #[must_use]
-    pub fn invert_bits(&self) -> usize {
-        self.p
-    }
-
-    /// Number of ECC parity bits `m`.
-    #[must_use]
-    pub fn ecc_parity_bits(&self) -> usize {
-        self.m
-    }
-
-    /// Lays side `bits` out through an LXC into `out` starting at `base`;
-    /// returns the wire count consumed.
-    fn place_side_bits(out: &mut Word, base: usize, bits: Word, lxc: Option<LxcChoice>) -> usize {
-        match lxc {
-            None => {
-                for i in 0..bits.width() {
-                    out.set_bit(base + i, bits.bit(i));
-                }
-                bits.width()
-            }
-            Some(LxcChoice::Shielding) => {
-                // [S, b0, S, b1, ...]
-                for i in 0..bits.width() {
-                    out.set_bit(base + 2 * i + 1, bits.bit(i));
-                }
-                2 * bits.width()
-            }
-            Some(LxcChoice::Duplication) => {
-                for i in 0..bits.width() {
-                    out.set_bit(base + 2 * i, bits.bit(i));
-                    out.set_bit(base + 2 * i + 1, bits.bit(i));
-                }
-                2 * bits.width()
-            }
-        }
-    }
-
-    /// Reads side bits back from the bus; returns (bits, wires consumed).
-    fn read_side_bits(
-        bus: Word,
-        base: usize,
-        count: usize,
-        lxc: Option<LxcChoice>,
-    ) -> (Word, usize) {
-        let mut bits = Word::zero(count);
-        match lxc {
-            None => {
-                for i in 0..count {
-                    bits.set_bit(i, bus.bit(base + i));
-                }
-                (bits, count)
-            }
-            Some(LxcChoice::Shielding) => {
-                for i in 0..count {
-                    bits.set_bit(i, bus.bit(base + 2 * i + 1));
-                }
-                (bits, 2 * count)
-            }
-            Some(LxcChoice::Duplication) => {
-                // Use copy A; copy B only guards the wire flight.
-                for i in 0..count {
-                    bits.set_bit(i, bus.bit(base + 2 * i));
-                }
-                (bits, 2 * count)
-            }
-        }
-    }
-}
-
-impl BusCode for ComposedCode {
-    fn name(&self) -> String {
-        let mut parts = Vec::new();
-        if !self.cac.name().is_empty() {
-            parts.push(self.cac.name().to_string());
-        }
-        if let Some(bi) = &self.lpc {
-            parts.push(bi.name());
-        }
-        if !self.ecc.name().is_empty() {
-            parts.push(self.ecc.name().to_string());
-        }
-        if parts.is_empty() {
-            "Uncoded".into()
-        } else {
-            parts.join("+")
-        }
-    }
-
-    fn data_bits(&self) -> usize {
-        self.k
-    }
-
-    fn wires(&self) -> usize {
-        self.wires
-    }
-
-    fn encode(&mut self, data: Word) -> Word {
-        assert_eq!(data.width(), self.k, "data width mismatch");
-        let code = self.cac.encode(data);
-        let (code, inverts) = match &mut self.lpc {
-            None => (code, Word::zero(0)),
-            Some(bi) => {
-                let coded = bi.encode(code);
-                // BusInvert interleaves invert wires; extract them back out
-                // into (code', invert bits).
-                let mut c = Word::zero(self.n);
-                let mut inv = Word::zero(self.p);
-                split_bus_invert(bi, coded, &mut c, &mut inv);
-                (c, inv)
-            }
-        };
-        let payload = code.concat(inverts);
-        let parity = self.ecc.encode(payload);
-        let mut out = Word::zero(self.wires);
-        for i in 0..self.n {
-            out.set_bit(i, code.bit(i));
-        }
-        let mut base = self.n;
-        base += Self::place_side_bits(&mut out, base, inverts, self.lxc1);
-        let _ = Self::place_side_bits(&mut out, base, parity, self.lxc2);
-        out
-    }
-
-    fn decode(&mut self, bus: Word) -> Word {
-        self.decode_checked(bus).0
-    }
-
-    fn decode_checked(&mut self, bus: Word) -> (Word, DecodeStatus) {
-        assert_eq!(bus.width(), self.wires, "bus width mismatch");
-        let code = bus.slice(0, self.n);
-        let mut base = self.n;
-        let (inverts, used) = Self::read_side_bits(bus, base, self.p, self.lxc1);
-        base += used;
-        let (parity, _) = Self::read_side_bits(bus, base, self.m, self.lxc2);
-        // ECC first (condition 1: correction precedes all other decoding).
-        let (payload, status) = self.ecc.decode(code.concat(inverts), parity);
-        let code = payload.slice(0, self.n);
-        let inverts = payload.slice(self.n, self.p);
-        let code = match &mut self.lpc {
-            None => code,
-            Some(bi) => {
-                let merged = merge_bus_invert(bi, code, inverts);
-                bi.decode(merged)
-            }
-        };
-        (self.cac.decode(code), status)
-    }
-
-    fn reset(&mut self) {
-        if let Some(bi) = &mut self.lpc {
-            bi.reset();
-        }
-    }
-
-    fn is_stateful(&self) -> bool {
-        self.lpc.is_some()
-    }
-
-    fn correctable_errors(&self) -> usize {
-        match self.ecc {
-            EccStage::Hamming(_) | EccStage::Ext(_) => 1,
-            _ => 0,
-        }
-    }
-
-    fn detectable_errors(&self) -> usize {
-        match self.ecc {
-            EccStage::None => 0,
-            EccStage::Parity(_) => 1,
-            EccStage::Hamming(_) => 1,
-            EccStage::Ext(_) => 2,
-        }
-    }
-
-    fn guaranteed_delay_class(&self) -> DelayClass {
-        self.cac.delay_class()
-    }
-}
-
-/// Splits a BusInvert bus word into (data lines, invert lines).
-fn split_bus_invert(bi: &BusInvert, coded: Word, code: &mut Word, inv: &mut Word) {
-    let k = bi.data_bits();
-    let i = bi.sub_buses();
-    let (base, extra) = (k / i, k % i);
-    let mut wire = 0;
-    let mut code_pos = 0;
-    for s in 0..i {
-        let len = base + usize::from(s < extra);
-        for b in 0..len {
-            code.set_bit(code_pos + b, coded.bit(wire + b));
-        }
-        inv.set_bit(s, coded.bit(wire + len));
-        wire += len + 1;
-        code_pos += len;
-    }
-}
-
-/// Rebuilds the interleaved BusInvert layout from (data lines, inverts).
-fn merge_bus_invert(bi: &BusInvert, code: Word, inv: Word) -> Word {
-    let k = bi.data_bits();
-    let i = bi.sub_buses();
-    let (base, extra) = (k / i, k % i);
-    let mut out = Word::zero(bi.wires());
-    let mut wire = 0;
-    let mut code_pos = 0;
-    for s in 0..i {
-        let len = base + usize::from(s < extra);
-        for b in 0..len {
-            out.set_bit(wire + b, code.bit(code_pos + b));
-        }
-        out.set_bit(wire + len, inv.bit(s));
-        wire += len + 1;
-        code_pos += len;
-    }
-    out
-}
+pub type ComposedCode = Chain<Box<dyn BusCode>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::DecodeStatus;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use socbus_model::Word;
 
     fn roundtrip(code: &mut ComposedCode, k: usize, trials: usize, seed: u64) {
         let mut dec = code.clone();
@@ -746,6 +475,71 @@ mod tests {
     }
 
     #[test]
+    fn impossible_widths_are_errors_not_panics() {
+        use CompositionError::{FpcTooWide, NoDataBits, SubBuses, TooWide};
+        let dup_hamming = Framework::new(127)
+            .cac(CacChoice::Duplication)
+            .ecc(EccChoice::Hamming)
+            .lxc2(LxcChoice::Duplication);
+        let cases = [
+            (
+                Framework::new(200).cac(CacChoice::Duplication),
+                TooWide { wires: 400 },
+            ),
+            (
+                Framework::new(200).cac(CacChoice::Shielding),
+                TooWide { wires: 399 },
+            ),
+            (
+                Framework::new(200).cac(CacChoice::Ftc),
+                TooWide {
+                    wires: crate::cac::ftc_wires_for_bits(200),
+                },
+            ),
+            (
+                Framework::new(200).cac(CacChoice::Fpc),
+                FpcTooWide { k: 200 },
+            ),
+            (
+                Framework::new(250).ecc(EccChoice::Hamming),
+                TooWide { wires: 259 },
+            ),
+            (dup_hamming, TooWide { wires: 254 + 2 * 9 }),
+            (Framework::new(0).ecc(EccChoice::Hamming), NoDataBits),
+            (Framework::new(300), TooWide { wires: 300 }),
+            (Framework::new(0), NoDataBits),
+            (
+                Framework::new(2).lpc(LpcChoice::BusInvert(3)),
+                SubBuses {
+                    sub_buses: 3,
+                    wires: 2,
+                },
+            ),
+            (
+                Framework::new(2).lpc(LpcChoice::BusInvert(0)),
+                SubBuses {
+                    sub_buses: 0,
+                    wires: 2,
+                },
+            ),
+        ];
+        for (framework, expect) in cases {
+            let desc = format!("{framework:?}");
+            assert_eq!(framework.build().unwrap_err(), expect, "{desc}");
+        }
+        // The widest legal buses still build.
+        assert_eq!(Framework::new(256).build().unwrap().wires(), 256);
+        assert_eq!(
+            Framework::new(128)
+                .cac(CacChoice::Duplication)
+                .build()
+                .unwrap()
+                .wires(),
+            256
+        );
+    }
+
+    #[test]
     fn composed_name_reflects_components() {
         let code = Framework::new(4)
             .cac(CacChoice::Duplication)
@@ -758,8 +552,10 @@ mod tests {
 
     #[test]
     fn composed_dap_equivalent_has_dapx_wire_count() {
-        // Duplication + parity with LXC2=duplication is the generic DAPX:
-        // 2k data wires + 2 parity wires.
+        // Duplication + parity with LXC2=duplication has DAPX's wire count
+        // (2k data wires + 2 parity wires) but not its code: the parity
+        // covers the duplicated wires, so it is always 0 and corrects
+        // nothing, where DAPX's covers the data and corrects one error.
         let code = Framework::new(4)
             .cac(CacChoice::Duplication)
             .ecc(EccChoice::Parity)

@@ -48,22 +48,6 @@ impl Dap {
         assert!(2 * k < socbus_model::word::MAX_WIDTH, "bus too wide");
         Dap { k }
     }
-
-    /// Shared DAP decode over a duplicated region plus parity: `sets` is
-    /// (A, B) extracted by the caller, `parity` the received parity wire.
-    pub(crate) fn select_set(a: Word, b: Word, parity: bool) -> (Word, DecodeStatus) {
-        let parity_a = a.count_ones() % 2 == 1;
-        if parity_a == parity {
-            let status = if a == b {
-                DecodeStatus::Clean
-            } else {
-                DecodeStatus::Corrected
-            };
-            (a, status)
-        } else {
-            (b, DecodeStatus::Corrected)
-        }
-    }
 }
 
 impl BusCode for Dap {
@@ -102,7 +86,14 @@ impl BusCode for Dap {
             a.set_bit(i, bus.bit(2 * i));
             b.set_bit(i, bus.bit(2 * i + 1));
         }
-        Dap::select_set(a, b, bus.bit(2 * self.k))
+        // Fig. 6: regenerate set A's parity; on a match output A, else B.
+        if (a.count_ones() % 2 == 1) != bus.bit(2 * self.k) {
+            (b, DecodeStatus::Corrected)
+        } else if a == b {
+            (a, DecodeStatus::Clean)
+        } else {
+            (a, DecodeStatus::Corrected)
+        }
     }
 
     fn correctable_errors(&self) -> usize {

@@ -12,7 +12,12 @@
 //!   codebooks), FPC;
 //! * [`ecc`] — parity, systematic Hamming, extended Hamming;
 //! * [`joint`] — the paper's derived codes: **DAP**, **DAPX**, **DAPBI**,
-//!   **BIH**, **HammingX**, **FTC+HC**, and the BSC baseline;
+//!   **BIH**, **HammingX**, **FTC+HC**, and the BSC baseline — DAP
+//!   hand-written, the rest chains of the components above;
+//! * [`layout`] — which logical bit drives which wire: shields, duplicate
+//!   copies, the LXC side-bit regions, the joint codes' bus orders;
+//! * [`chain`] — the two-stage outer → inner → layout code, scalar and
+//!   batch, that the joint codes and the composer are built from;
 //! * [`framework`] — the generic Fig.-4 composer with the five
 //!   composition-legality rules;
 //! * [`analysis`] — delay-class / energy / distance measurement of any
@@ -44,10 +49,12 @@ pub mod analysis;
 pub mod batch;
 pub mod cac;
 pub mod catalog;
+pub mod chain;
 pub mod ecc;
 pub mod framework;
 pub mod joint;
 pub mod kernels;
+pub mod layout;
 pub mod lpc;
 pub mod sabotage;
 pub mod theory;
@@ -60,10 +67,12 @@ pub use cac::{
     Duplication, ForbiddenPatternCode, ForbiddenTransitionCode, HalfShielding, Shielding,
 };
 pub use catalog::Scheme;
+pub use chain::Chain;
 pub use ecc::{BchDec, ExtendedHamming, Hamming, ParityBit};
 pub use framework::{ComposedCode, CompositionError, Framework};
-pub use joint::{Bih, Bsc, Dap, Dapbi, Dapx, FtcHc, HammingX};
+pub use joint::Dap;
 pub use kernels::{codebook_builds, codebook_kernel, BookKey, CodebookKernel};
+pub use layout::Layout;
 pub use lpc::{BusInvert, CouplingBusInvert};
 pub use sabotage::SabotagedHamming;
 pub use traits::{BusCode, CloneBusCode, DecodeStatus, Uncoded};

@@ -35,20 +35,63 @@ use socbus_model::Word;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BusInvert {
     k: usize,
-    subs: Vec<SubBus>,
+    subs: Partition,
     /// Previously driven bus word (encoder memory).
     prev: Word,
 }
 
+/// One sub-bus of `BI(i)`, shared by the scalar and batch codecs and the
+/// framework's bus-invert split.
 #[derive(Clone, Debug, PartialEq, Eq)]
-struct SubBus {
+pub(crate) struct SubBus {
     /// First data-bit index (in the data word) of this sub-bus.
-    data_lo: usize,
+    pub(crate) data_lo: usize,
     /// Number of data bits.
-    len: usize,
+    pub(crate) len: usize,
     /// First wire index of this sub-bus on the bus; the invert wire is at
     /// `wire_lo + len`.
-    wire_lo: usize,
+    pub(crate) wire_lo: usize,
+}
+
+/// The `BI(i)` partition of `k` data bits: sub-bus sizes differ by at
+/// most one, each sub-bus followed by its invert wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Partition {
+    k: usize,
+    i: usize,
+}
+
+impl Partition {
+    /// Partitions `k` data bits into `i` sub-buses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i == 0`, `i > k`, or the coded width exceeds the word
+    /// limit.
+    pub(crate) fn new(k: usize, i: usize) -> Self {
+        assert!(i > 0, "need at least one sub-bus");
+        assert!(i <= k, "more sub-buses ({i}) than data bits ({k})");
+        assert!(k + i <= socbus_model::word::MAX_WIDTH, "coded bus too wide");
+        Partition { k, i }
+    }
+
+    /// Number of sub-buses `i`.
+    pub(crate) fn count(self) -> usize {
+        self.i
+    }
+
+    /// The sub-buses, first wire first.
+    pub(crate) fn subs(self) -> impl Iterator<Item = SubBus> {
+        let (base, extra) = (self.k / self.i, self.k % self.i);
+        (0..self.i).map(move |s| {
+            let data_lo = s * base + s.min(extra);
+            SubBus {
+                data_lo,
+                len: base + usize::from(s < extra),
+                wire_lo: data_lo + s,
+            }
+        })
+    }
 }
 
 impl BusInvert {
@@ -61,26 +104,9 @@ impl BusInvert {
     /// limit.
     #[must_use]
     pub fn new(k: usize, i: usize) -> Self {
-        assert!(i > 0, "need at least one sub-bus");
-        assert!(i <= k, "more sub-buses ({i}) than data bits ({k})");
-        assert!(k + i <= socbus_model::word::MAX_WIDTH, "coded bus too wide");
-        let mut subs = Vec::with_capacity(i);
-        let (base, extra) = (k / i, k % i);
-        let mut data_lo = 0;
-        let mut wire_lo = 0;
-        for s in 0..i {
-            let len = base + usize::from(s < extra);
-            subs.push(SubBus {
-                data_lo,
-                len,
-                wire_lo,
-            });
-            data_lo += len;
-            wire_lo += len + 1;
-        }
         BusInvert {
             k,
-            subs,
+            subs: Partition::new(k, i),
             prev: Word::zero(k + i),
         }
     }
@@ -88,13 +114,13 @@ impl BusInvert {
     /// Number of sub-buses `i`.
     #[must_use]
     pub fn sub_buses(&self) -> usize {
-        self.subs.len()
+        self.subs.count()
     }
 }
 
 impl BusCode for BusInvert {
     fn name(&self) -> String {
-        format!("BI({})", self.subs.len())
+        format!("BI({})", self.subs.count())
     }
 
     fn data_bits(&self) -> usize {
@@ -102,22 +128,19 @@ impl BusCode for BusInvert {
     }
 
     fn wires(&self) -> usize {
-        self.k + self.subs.len()
+        self.k + self.subs.count()
     }
 
     fn encode(&mut self, data: Word) -> Word {
         assert_eq!(data.width(), self.k, "data width mismatch");
         let mut out = Word::zero(self.wires());
-        for sub in &self.subs {
+        for sub in self.subs.subs() {
             let new = data.slice(sub.data_lo, sub.len);
             let old = self.prev.slice(sub.wire_lo, sub.len);
             // Invert when more than half the data lines would toggle.
             let toggles = new.hamming_distance(old) as usize;
             let invert = 2 * toggles > sub.len;
-            let driven = if invert { new.not() } else { new };
-            for b in 0..sub.len {
-                out.set_bit(sub.wire_lo + b, driven.bit(b));
-            }
+            out.set_slice(sub.wire_lo, if invert { new.not() } else { new });
             out.set_bit(sub.wire_lo + sub.len, invert);
         }
         self.prev = out;
@@ -127,11 +150,10 @@ impl BusCode for BusInvert {
     fn decode(&mut self, bus: Word) -> Word {
         assert_eq!(bus.width(), self.wires(), "bus width mismatch");
         let mut out = Word::zero(self.k);
-        for sub in &self.subs {
+        for sub in self.subs.subs() {
+            let driven = bus.slice(sub.wire_lo, sub.len);
             let invert = bus.bit(sub.wire_lo + sub.len);
-            for b in 0..sub.len {
-                out.set_bit(sub.data_lo + b, bus.bit(sub.wire_lo + b) ^ invert);
-            }
+            out.set_slice(sub.data_lo, if invert { driven.not() } else { driven });
         }
         out
     }
@@ -308,9 +330,9 @@ mod tests {
         // 10 bits in 3 sub-buses: sizes 4,3,3.
         let bi = BusInvert::new(10, 3);
         assert_eq!(bi.wires(), 13);
-        let sizes: Vec<usize> = bi.subs.iter().map(|s| s.len).collect();
+        let sizes: Vec<usize> = bi.subs.subs().map(|s| s.len).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
-        assert_eq!(bi.subs.iter().map(|s| s.len).sum::<usize>(), 10);
+        assert_eq!(bi.subs.subs().map(|s| s.len).sum::<usize>(), 10);
     }
 
     #[test]

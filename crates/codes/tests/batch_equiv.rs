@@ -133,6 +133,15 @@ fn native_schemes_batch_equals_scalar_across_widths() {
         (Scheme::BusInvert(1), vec![1, 8, 32, 64]),
         (Scheme::BusInvert(4), vec![4, 9, 32]),
         (Scheme::Ftc, vec![1, 2, 3, 4, 7, 12, 16]),
+        // The joint codes, chained from the planes above. The widest
+        // buses cross 128 wires: DAPX(64) 130, BSC(64) 129, DAPBI(63)
+        // 129, BIH(121) 130, HammingX(120) 130, FTC+HC(80) 147.
+        (Scheme::Dapx, vec![1, 2, 31, 64]),
+        (Scheme::Bsc, vec![1, 2, 31, 64]),
+        (Scheme::Dapbi, vec![1, 2, 30, 63]),
+        (Scheme::Bih, vec![1, 3, 26, 57, 121]),
+        (Scheme::HammingX, vec![1, 2, 4, 11, 120]),
+        (Scheme::FtcHc, vec![1, 2, 4, 7, 32, 80]),
     ];
     for (scheme, widths) in cases {
         for k in widths {
@@ -156,6 +165,12 @@ fn checked_decode_is_exhaustively_equivalent_at_small_widths() {
         (Scheme::Shielding, 4),
         (Scheme::Duplication, 4),
         (Scheme::Ftc, 3),
+        (Scheme::Dapx, 3),
+        (Scheme::Bsc, 3),
+        (Scheme::Dapbi, 2),
+        (Scheme::Bih, 3),
+        (Scheme::HammingX, 4),
+        (Scheme::FtcHc, 2),
     ] {
         let mut scalar = scheme.build(k);
         let mut batch = batch_build(scheme, k);

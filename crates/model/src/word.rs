@@ -266,12 +266,7 @@ impl Word {
         );
         let mut out = Word::zero(total);
         out.limbs = self.limbs;
-        for i in 0..other.width() {
-            if other.bit(i) {
-                let j = self.width() + i;
-                out.limbs[j / 64] |= 1 << (j % 64);
-            }
-        }
+        out.set_slice(self.width(), other);
         out
     }
 
@@ -288,13 +283,43 @@ impl Word {
             lo + len
         );
         let mut out = Word::zero(len);
-        for i in 0..len {
-            let j = lo + i;
-            if (self.limbs[j / 64] >> (j % 64)) & 1 == 1 {
-                out.limbs[i / 64] |= 1 << (i % 64);
+        let (q, r) = (lo / 64, lo % 64);
+        for l in 0..len.div_ceil(64) {
+            let low = self.limbs[q + l] >> r;
+            let high = match self.limbs.get(q + l + 1) {
+                Some(&next) if r != 0 => next << (64 - r),
+                _ => 0,
+            };
+            out.limbs[l] = low | high;
+        }
+        out.mask_off();
+        out
+    }
+
+    /// Overwrites wires `lo..lo + src.width()` with `src` — the inverse
+    /// of [`slice`](Word::slice), one shifted limb at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo + src.width() > self.width()`.
+    pub fn set_slice(&mut self, lo: usize, src: Word) {
+        let len = src.width();
+        assert!(
+            lo + len <= self.width(),
+            "slice {lo}..{} out of range",
+            lo + len
+        );
+        for l in 0..len.div_ceil(64) {
+            let n = (len - 64 * l).min(64);
+            let mask = u64::MAX >> (64 - n);
+            let (q, r) = ((lo + 64 * l) / 64, (lo + 64 * l) % 64);
+            self.limbs[q] = (self.limbs[q] & !(mask << r)) | (src.limbs[l] << r);
+            if r != 0 && r + n > 64 {
+                let spill = 64 - r;
+                self.limbs[q + 1] =
+                    (self.limbs[q + 1] & !(mask >> spill)) | (src.limbs[l] >> spill);
             }
         }
-        out
     }
 
     /// Iterates over the logic values wire by wire, wire 0 first.
@@ -428,6 +453,40 @@ mod tests {
         let c = lo.concat(hi);
         assert_eq!(c.slice(0, 2), lo);
         assert_eq!(c.slice(2, 3), hi);
+    }
+
+    #[test]
+    fn slice_and_set_slice_match_bit_loops() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for width in [1usize, 7, 63, 64, 65, 127, 128, 129, 200, 256] {
+            let w = Word::from_limbs([next(), next(), next(), next()], width);
+            for lo in [0usize, 1, 5, 31, 63, 64, 65, 100, 191] {
+                for len in [0usize, 1, 2, 33, 63, 64, 65, 120, 130] {
+                    if lo + len > width {
+                        continue;
+                    }
+                    let s = w.slice(lo, len);
+                    assert_eq!(s.width(), len);
+                    for i in 0..len {
+                        assert_eq!(s.bit(i), w.bit(lo + i), "slice {width} {lo} {len} {i}");
+                    }
+                    let src = Word::from_limbs([next(), next(), next(), next()], len);
+                    let mut got = w;
+                    got.set_slice(lo, src);
+                    let mut want = w;
+                    for i in 0..len {
+                        want.set_bit(lo + i, src.bit(i));
+                    }
+                    assert_eq!(got, want, "set_slice {width} {lo} {len}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -203,8 +203,9 @@ fn hamming(k: usize) -> (Netlist, Netlist) {
 
 fn hamming_x(k: usize) -> (Netlist, Netlist) {
     // Same logic as Hamming; only the wire layout differs (shields among
-    // the parity group). Mirror socbus_codes::HammingX's layout:
-    // singleton, then shield-separated pairs.
+    // the parity group). Mirror the HammingX layout of
+    // socbus_codes::joint::assemble: singleton, then shield-separated
+    // pairs.
     let code = Hamming::new(k);
     let m = code.parity_bits();
     let mut parity_slot = Vec::with_capacity(m);

@@ -46,11 +46,9 @@ fn main() {
     let mut full_code = full.clone();
     let e = analysis::average_energy(&mut full_code, 60_000);
     println!(
-        "all-slots code {}: {} wires, invert bits {}, parity bits {}, avg energy {:.2} + {:.2}L",
+        "all-slots code {}: {} wires (2k code, 2 invert, 2 parity), avg energy {:.2} + {:.2}L",
         full.name(),
         full.wires(),
-        full.invert_bits(),
-        full.ecc_parity_bits(),
         e.self_coeff,
         e.coupling_coeff
     );
