@@ -53,8 +53,11 @@ pub const WIDTH: usize = 4;
 pub const HEIGHT: usize = 4;
 /// Injection cycles per run.
 pub const CYCLES: u64 = 600;
-/// Drain budget after injection stops (the end-to-end give-up path
-/// needs a few thousand cycles at the default knobs).
+/// Drain budget after injection stops. Queued packets are never
+/// retransmitted, so the saturated link-down runs drain in about 300
+/// cycles; the budget leaves room for the end-to-end give-up path,
+/// nine timer rounds (2,896 cycles at the default knobs) per packet
+/// whose every copy was dropped.
 pub const DRAIN_CYCLES: u64 = 8_000;
 /// Per-node injection rate of the latency-distribution run: light
 /// enough that queueing is rare and the histogram shows the fabric's

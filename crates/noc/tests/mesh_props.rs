@@ -159,4 +159,37 @@ proptest! {
         prop_assert_eq!(report.flagged_lost, 0, "link {} down lost packets", dead);
         prop_assert_eq!(report.delivered, report.injected);
     }
+
+    /// Clean links at a loaded rate with one random directed link down:
+    /// rerouting congests the fabric, but no copy is ever dropped, so
+    /// the sources must never retransmit and no duplicate may arrive.
+    #[test]
+    fn a_downed_link_causes_no_spurious_retransmission(
+        w in 2usize..5,
+        h in 2usize..5,
+        rate in 0.3f64..0.95,
+        dead_pick in any::<u64>(),
+        sim_seed in any::<u64>(),
+        traffic_seed in any::<u64>(),
+    ) {
+        let cfg = MeshConfig::new(w, h, LinkConfig::new(Scheme::Dap, 16, 0.0))
+            .with_rate(rate);
+        let mut sim = MeshSim::new(&cfg, sim_seed, traffic_seed);
+        #[allow(clippy::cast_possible_truncation)]
+        let dead = (dead_pick % sim.link_count() as u64) as usize;
+        sim.set_link_down(dead, true);
+        for _ in 0..200 {
+            let _ = sim.step(true);
+        }
+        let mut drained = 0;
+        while !sim.idle() && drained < 10_000 {
+            let _ = sim.step(false);
+            drained += 1;
+        }
+        let report = sim.finish();
+        prop_assert!(report.injected > 0);
+        prop_assert_eq!(report.e2e_retransmits, 0, "link {} down", dead);
+        prop_assert_eq!(report.duplicates, 0, "link {} down", dead);
+        prop_assert_eq!(report.delivered, report.injected);
+    }
 }
