@@ -136,14 +136,53 @@ pub fn transition_energy_coeff(tv: &TransitionVector) -> EnergyCoeff {
     }
 }
 
-/// Convenience wrapper: energy coefficient of the transfer `before → after`.
+/// Energy coefficient of the transfer `before → after`, equal bit for bit
+/// to [`transition_energy_coeff`] of the transfer's [`TransitionVector`].
+///
+/// Every term of the quadratic form is an integer: `Δ_l²` is 1 on a
+/// switching wire, and `(Δ_l − Δ_{l+1})²` is 1 when exactly one of two
+/// neighbours switches and 4 when they switch in opposite directions.
+/// So the form is computed from popcounts over the words' limbs — rise
+/// mask `!before & after`, fall mask `before & !after`, each pair seen
+/// through the masks shifted down one wire with bit 63 carried in from
+/// the next limb — and the sums, exact in `f64`, are the reference's.
 ///
 /// # Panics
 ///
 /// Panics if the words have different widths.
 #[must_use]
 pub fn word_transition_energy(before: Word, after: Word) -> EnergyCoeff {
-    transition_energy_coeff(&TransitionVector::between(before, after))
+    let width = before.width();
+    assert_eq!(width, after.width(), "width mismatch");
+    if width < 2 {
+        // The reference's empty coupling sum is -0.0; keep it exactly.
+        return transition_energy_coeff(&TransitionVector::between(before, after));
+    }
+    // Adjacent pairs `(i, i + 1)` are indexed by their lower wire `i`.
+    let pairs = width - 1;
+    let (mut switching, mut single, mut opposing) = (0u32, 0u32, 0u32);
+    for l in 0..width.div_ceil(64) {
+        let (a, b) = (before.limb(l), after.limb(l));
+        let (a_next, b_next) = if l + 1 < Word::LIMB_COUNT {
+            (before.limb(l + 1), after.limb(l + 1))
+        } else {
+            (0, 0)
+        };
+        let (rise, fall) = (!a & b, a & !b);
+        let rise_up = (rise >> 1) | ((!a_next & b_next) << 63);
+        let fall_up = (fall >> 1) | ((a_next & !b_next) << 63);
+        let in_range = match pairs - 64 * l {
+            n if n >= 64 => u64::MAX,
+            n => (1u64 << n) - 1,
+        };
+        switching += (rise | fall).count_ones();
+        single += (((rise | fall) ^ (rise_up | fall_up)) & in_range).count_ones();
+        opposing += (((rise & fall_up) | (fall & rise_up)) & in_range).count_ones();
+    }
+    EnergyCoeff {
+        self_coeff: 0.5 * f64::from(switching),
+        coupling_coeff: 0.5 * f64::from(single + 4 * opposing),
+    }
 }
 
 /// The `n × n` capacitance matrix `C_T` of eq. (3), in units of the bulk

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use socbus_model::{
-    bus_delay_factor, ln_q, q, q_inv, transition_energy_coeff, Transition, TransitionVector, Word,
+    bus_delay_factor, ln_q, q, q_inv, transition_energy_coeff, word_transition_energy, Transition,
+    TransitionVector, Word,
 };
 
 fn word_strategy(width: usize) -> impl Strategy<Value = Word> {
@@ -104,5 +105,48 @@ proptest! {
         let x = q_inv(p);
         let back = ln_q(x).exp();
         prop_assert!((back - p).abs() / p < 1e-6, "p={p} back={back}");
+    }
+}
+
+/// `word_transition_energy` counts with popcounts; it must equal the
+/// per-wire quadratic form bit for bit (`f64::to_bits`, so the `-0.0`
+/// of an empty sum counts too) at every width a word can have,
+/// including across limb boundaries.
+#[test]
+fn word_energy_equals_the_quadratic_form_at_every_width() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for width in 0..=socbus_model::word::MAX_WIDTH {
+        let alternating = Word::from_limbs([0x5555_5555_5555_5555; 4], width);
+        let mut pairs = vec![
+            (Word::zero(width), Word::zero(width)),
+            (Word::zero(width), Word::zero(width).not()),
+            (alternating, alternating.not()),
+            (alternating.not(), alternating),
+        ];
+        for _ in 0..64 {
+            let a = Word::from_limbs([next(), next(), next(), next()], width);
+            // Sparse and dense flip masks both occur.
+            let flips = Word::from_limbs([next() & next(), next(), next() | next(), next()], width);
+            pairs.push((a, a.xor(flips)));
+        }
+        for (before, after) in pairs {
+            let fast = word_transition_energy(before, after);
+            let reference = transition_energy_coeff(&TransitionVector::between(before, after));
+            assert_eq!(
+                (fast.self_coeff.to_bits(), fast.coupling_coeff.to_bits()),
+                (
+                    reference.self_coeff.to_bits(),
+                    reference.coupling_coeff.to_bits()
+                ),
+                "width {width}: {before:?} -> {after:?}: {fast:?} vs {reference:?}"
+            );
+        }
     }
 }
